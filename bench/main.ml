@@ -19,7 +19,7 @@ let pf = Printf.printf
 
 (* 2D points (Fig. 3 / Fig. 4) *)
 module CB = Btree.Make (Key.Pair) (* the paper's concurrent B-tree *)
-module SB = Btree_seq.Make (Key.Pair) (* its sequential variant *)
+module SB = Btree.Seq (Key.Pair) (* its sequential twin *)
 module RB = Rbtree.Make (Key.Pair) (* "STL rbtset" *)
 module HS = Hashset.Make (Key.Pair) (* "STL hashset" *)
 module GB = Bplus_tree.Make (Key.Pair) (* "google btree" *)
@@ -90,11 +90,11 @@ let structures () : structure list =
       s_insert =
         (fun pts ->
           let t = SB.create () in
-          let h = SB.make_hints () in
-          Array.iter (fun p -> ignore (SB.insert ~hints:h t p : bool)) pts;
-          let qh = SB.make_hints () in
+          let s = SB.session t in
+          Array.iter (fun p -> ignore (SB.s_insert s p : bool)) pts;
+          let qs = SB.session t in
           {
-            l_mem = (fun p -> SB.mem ~hints:qh t p);
+            l_mem = (fun p -> SB.s_mem qs p);
             l_scan =
               (fun () ->
                 let n = ref 0 in
@@ -402,7 +402,7 @@ let table1 _cfg =
         [ "STL hashset"; "no"; "open-addressing hash set (Hashset)" ];
         [ "google btree"; "no"; "B+-tree, binary search, linked leaves (Bplus_tree)" ];
         [ "TBB hashset"; "yes"; "lock-striped concurrent hash set (Concurrent_hashset)" ];
-        [ "seq btree"; "no"; "sequential variant of our B-tree (Btree_seq)" ];
+        [ "seq btree"; "no"; "sequential twin of our B-tree (Btree.Seq)" ];
         [ "seq btree (n/h)"; "no"; "our sequential B-tree without hints" ];
         [ "reduction btree"; "yes"; "thread-private B+-trees + parallel reduction (Reduction_set)" ];
         [ "btree"; "yes"; "our optimistic B-tree (Btree, Algorithms 1-2 + hints)" ];
@@ -736,7 +736,7 @@ let ablation_locks cfg =
 
 let ablation_specialization cfg =
   let n = scaled cfg 500_000 in
-  pf "\n== Ablation: functor tree vs specialized tuple tree (M ops/s, %d \
+  pf "\n== Ablation: one tree, generic kernel vs tuple kernel (M ops/s, %d \
       random 2-tuples) ==\n" n;
   let r = Rng.create 31 in
   let keys = Array.init n (fun _ -> [| Rng.int r 100_000; Rng.int r 100_000 |]) in
@@ -773,10 +773,10 @@ let ablation_specialization cfg =
     ~header:[ "tree"; "insert M/s"; "mem M/s" ]
     ~rows:
       [
-        [ "generic functor (indirect compare)";
+        [ "generic kernel (K.compare per comparison)";
           Bench_util.fmt_f (Bench_util.mops n gi);
           Bench_util.fmt_f (Bench_util.mops n gm) ];
-        [ "specialized tuples (inlined compare)";
+        [ "tuple kernel (Btree_tuples)";
           Bench_util.fmt_f (Bench_util.mops n si);
           Bench_util.fmt_f (Bench_util.mops n sm) ];
       ]

@@ -8,7 +8,7 @@
 
      stress --seed 42 --domains 4 --replay 17
 
-   Runs cycle through six scenarios:
+   Runs cycle through seven scenarios:
      opt   — functor B-tree, optimistic descents under forced validation
              failures, descent yields and split delays;
      pess  — same workload with a zero restart budget, so every descent
@@ -16,13 +16,17 @@
      pool  — pool.job.raise armed: injected worker faults must surface as
              aggregated [Pool_failure]s (never a dead domain) and the tree
              must stay consistent for the workers that survived;
-     tup   — the hand-specialized tuple B-tree under the same chaos mix;
+     tup   — the tuple-kernel B-tree (Btree_tuples) under the same chaos
+             mix;
      serve — a resident datalog_serve instance under connection drops and
              admission-busy faults, driven by concurrent client domains;
      wal   — durability drills: torn WAL appends (wal.write.short) must
              recover to the cleanly-appended prefix, and a kill -9 of a
              --durability strict server between acks must recover exactly
-             the acked state.
+             the acked state;
+     eval  — differential: the points-to fixed point of the parallel
+             engine on the hinted B-tree (pool of 2) must equal a hash-set
+             engine's, relation by relation, in each of three evaluations.
 
    After every run the failpoints are disarmed and the tree is audited:
    [check_invariants] plus an exact cardinality check against the distinct
@@ -48,7 +52,7 @@ let rng_next st =
   st := r;
   r
 
-let n_scenarios = 6
+let n_scenarios = 7
 
 let scenario_name = function
   | 0 -> "opt"
@@ -56,7 +60,8 @@ let scenario_name = function
   | 2 -> "pool"
   | 3 -> "tup"
   | 4 -> "serve"
-  | _ -> "wal"
+  | 5 -> "wal"
+  | _ -> "eval"
 
 let tree_points = "olock.validate.force_fail:12+btree.descent.yield:6+btree.split.delay:6"
 let pool_points = tree_points ^ "+pool.job.raise:4"
@@ -396,26 +401,72 @@ let wal_run ~nkeys ~seed r =
   rm_rf dir2;
   (List.length !acked + List.length !appended, 0)
 
+(* eval scenario: a differential of the parallel engine on the hinted
+   B-tree against a hash-set engine, on the points-to program of the
+   paper's Fig. 5a.  Each run evaluates the same seeded facts
+   [eval_per_run] times on a pool of 2; every relation's size and contents
+   checksum must equal the reference evaluation's.  It catches races the
+   tree-only scenarios miss: splits that left the new sibling unlocked
+   lost derived tuples here (about one evaluation in twenty) while every
+   tree scenario passed. *)
+let eval_config = Pointsto_gen.scaled 0.5
+let eval_per_run = 3
+
+let fingerprint e =
+  List.map
+    (fun r ->
+      let sum = ref 0 in
+      Engine.iter_relation e r (fun t -> sum := !sum + Key.Int_array.hash t);
+      (r, Engine.relation_size e r, !sum))
+    (List.sort compare (Engine.relations e))
+
+let eval_run ~seed =
+  let program = Pointsto_gen.program eval_config in
+  let facts = Pointsto_gen.facts eval_config (Rng.create seed) in
+  let evaluate kind pool =
+    let e = Engine.create ~kind program in
+    List.iter (fun (r, t) -> Engine.add_fact e r t) facts;
+    Engine.run e pool;
+    fingerprint e
+  in
+  Pool.with_pool 2 (fun pool ->
+      let want = evaluate Storage.Hashset pool in
+      for i = 1 to eval_per_run do
+        List.iter2
+          (fun (r, n, c) (_, n', c') ->
+            if n <> n' || c <> c' then
+              failf "evaluation %d: %s has %d tuples (checksum %x), hashset %d (%x)"
+                i r n c n' c')
+          (evaluate Storage.Btree pool)
+          want
+      done);
+  (eval_per_run, 0)
+
 (* Run one scenario; returns (inserted keys audited, pool failures seen). *)
 let one_run ~domains ~nkeys ~points_override ~seed r =
   let scen = r mod n_scenarios in
   let points =
     match points_override with
-    | Some p -> p
+    | Some p -> Some p
     | None ->
-      if scen = 2 then pool_points
-      else if scen = 4 then serve_points
-      else if scen = 5 then wal_points
-      else tree_points
+      if scen = 2 then Some pool_points
+      else if scen = 4 then Some serve_points
+      else if scen = 5 then Some wal_points
+      else if scen = 6 then None (* the differential runs unperturbed *)
+      else Some tree_points
   in
-  (match Chaos.apply_spec (Printf.sprintf "seed=%d,points=%s" seed points) with
-  | Ok () -> ()
-  | Error m ->
-    Printf.eprintf "bad failpoint spec: %s\n%s\n" m Chaos.spec_help;
-    exit 2);
+  Option.iter
+    (fun points ->
+      match Chaos.apply_spec (Printf.sprintf "seed=%d,points=%s" seed points) with
+      | Ok () -> ()
+      | Error m ->
+        Printf.eprintf "bad failpoint spec: %s\n%s\n" m Chaos.spec_help;
+        exit 2)
+    points;
   Olock.Backoff.set_seed seed;
   if scen = 4 then serve_run ~domains ~nkeys ~seed r
   else if scen = 5 then wal_run ~nkeys ~seed r
+  else if scen = 6 then eval_run ~seed
   else begin
   let capacity = 4 + (4 * (r mod 3)) in
   let key_range = max 64 (nkeys / 2) in
@@ -481,7 +532,7 @@ let one_run ~domains ~nkeys ~points_override ~seed r =
     audit_keys := Array.length surv
   end
   else begin
-    (* hand-specialized tuple tree, arity 2 *)
+    (* tuple-kernel tree, arity 2 *)
     let keys =
       Array.init nkeys (fun _ ->
           [| rng_next st mod key_range; rng_next st mod 16 |])

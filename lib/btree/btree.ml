@@ -1,4 +1,5 @@
-(* Concurrent B-tree with optimistic read-write locking and operation hints.
+(* The B-tree of the paper, written once: optimistic read-write locking and
+   operation hints over a lock and a key kernel.
 
    Structure: a classic B-tree — elements live in inner nodes as well as
    leaves, an inner node with [k] elements has [k + 1] children.  Nodes are
@@ -16,7 +17,13 @@
      insertion from the root;
    - splits write-lock the ancestor path bottom-up (re-checking the parent
      pointer after each acquisition, since a concurrent split of the parent
-     may have moved the child), perform the split, and unlock top-down.
+     may have moved the child), perform the split, and unlock top-down.  The
+     fresh right sibling of every split node is write-locked from birth
+     until the split is complete.
+
+   Instantiations: [Make] ([Olock], generic kernel) is the concurrent tree,
+   [Seq] ([No_lock], generic kernel) its sequential twin, and [Btree_tuples]
+   ([Olock], tuple kernel) the engine's relation index.
 
    Memory-model note.  Payload fields ([keys], [nkeys], [children], [parent],
    [position]) are plain mutable fields read racily during optimistic
@@ -27,11 +34,14 @@
    [Atomic] accesses provide the acquire/release edges of the Boehm seqlock
    recipe. *)
 
-module Make (K : Key.ORDERED) = struct
-  type key = K.t
+module type S = Btree_intf.S
+module type GENERIC = Btree_intf.GENERIC
+
+module Core (L : Olock.S) (KK : Btree_kernel.S) = struct
+  type key = KK.key
 
   type node = {
-    lock : Olock.t;
+    lock : L.t;
     mutable parent : node option; (* covered by the parent's lock *)
     mutable position : int;       (* index in parent.children; ditto *)
     keys : key array;             (* length = capacity *)
@@ -49,10 +59,11 @@ module Make (K : Key.ORDERED) = struct
   }
 
   type t = {
-    root_lock : Olock.t;
+    root_lock : L.t;
     mutable root : node; (* == sentinel while the tree is empty *)
     capacity : int;
-    binary : bool;
+    ctx : KK.ctx;
+    order : key -> key -> int; (* [KK.order ctx] *)
   }
 
   let default_capacity = 24
@@ -62,7 +73,7 @@ module Make (K : Key.ORDERED) = struct
      racy read is harmless: the search finds nothing and validation fails. *)
   let sentinel =
     {
-      lock = Olock.create ();
+      lock = L.create ();
       parent = None;
       position = 0;
       keys = [||];
@@ -74,33 +85,27 @@ module Make (K : Key.ORDERED) = struct
 
   let is_leaf n = Array.length n.children = 0
 
-  let alloc_leaf t =
+  let alloc t children =
     {
-      lock = Olock.create ();
+      lock = L.create ();
       parent = None;
       position = 0;
-      keys = Array.make t.capacity K.dummy;
+      keys = Array.make t.capacity KK.dummy;
       nkeys = 0;
-      children = [||];
+      children;
       leftmost = false;
       rightmost = false;
     }
 
-  let alloc_inner t =
-    {
-      lock = Olock.create ();
-      parent = None;
-      position = 0;
-      keys = Array.make t.capacity K.dummy;
-      nkeys = 0;
-      children = Array.make (t.capacity + 1) sentinel;
-      leftmost = false;
-      rightmost = false;
-    }
+  let alloc_leaf t = alloc t [||]
+  let alloc_inner t = alloc t (Array.make (t.capacity + 1) sentinel)
 
-  let create ?(capacity = default_capacity) ?(binary_search = false) () =
-    if capacity < 3 then invalid_arg "Btree.create: capacity must be >= 3";
-    { root_lock = Olock.create (); root = sentinel; capacity; binary = binary_search }
+  let create ?(capacity = default_capacity) ctx =
+    if capacity < 3 then invalid_arg (KK.name ^ ".create: capacity must be >= 3");
+    { root_lock = L.create (); root = sentinel; capacity; ctx; order = KK.order ctx }
+
+  let ctx t = t.ctx
+  let compare_keys t a b = t.order a b
 
   (* Clamp a racily read key count into the valid index range of [n]. *)
   let clamped_nkeys n =
@@ -110,39 +115,17 @@ module Make (K : Key.ORDERED) = struct
       let cap = Array.length n.keys in
       if k > cap then cap else k
 
-  (* [search_ge keys n key] is [(i, found)] where [i] is the smallest index
-     in [0, n) with [keys.(i) >= key] (or [n] if none) and [found] tells
-     whether [keys.(i) = key].  [i] doubles as the descent child index. *)
-  let search_ge_linear keys n key =
-    let rec go i =
-      if i >= n then (n, false)
-      else
-        let c = K.compare key (Array.unsafe_get keys i) in
-        if c > 0 then go (i + 1) else (i, c = 0)
-    in
-    go 0
+  (* [search t keys n key] packs the smallest index [i] in [0, n) with
+     [keys.(i) >= key] (or [n] if none) and whether [keys.(i) = key]; see
+     [Btree_kernel.S.search].  [slot] doubles as the descent child index. *)
+  let search t keys n key = KK.search t.ctx keys n key
+  let[@inline] slot r = r lsr 1
+  let[@inline] hit r = r land 1 = 1
 
-  let search_ge_binary keys n key =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if K.compare (Array.unsafe_get keys mid) key < 0 then lo := mid + 1
-      else hi := mid
-    done;
-    let i = !lo in
-    (i, i < n && K.compare (Array.unsafe_get keys i) key = 0)
-
-  let search t keys n key =
-    if t.binary then search_ge_binary keys n key else search_ge_linear keys n key
-
-  (* Smallest index with [keys.(i) > key], or [n]. *)
-  let search_gt keys n key =
-    let rec go i =
-      if i >= n then n
-      else if K.compare (Array.unsafe_get keys i) key > 0 then i
-      else go (i + 1)
-    in
-    go 0
+  (* The smallest index with [keys.(i) > key] (strict) or [>= key]: a
+     node's keys are strictly increasing, so the strict bound is one past
+     a match. *)
+  let[@inline] bound_slot ~strict r = if strict && hit r then slot r + 1 else slot r
 
   (* ------------------------------------------------------------------ *)
   (* Hints (section 3.2)                                                *)
@@ -194,13 +177,15 @@ module Make (K : Key.ORDERED) = struct
     let b = bits r 0 in
     if b >= run_buckets then run_buckets - 1 else b
 
-  let run_hit h = h.h_run <- h.h_run + 1
+  let hit_run h =
+    h.h_run <- h.h_run + 1;
+    Telemetry.bump Telemetry.Counter.Btree_hint_hits
 
-  let run_break h =
-    let r = h.h_run in
+  let miss_run h =
+    let b = run_bucket h.h_run in
     h.h_run <- 0;
-    let b = run_bucket r in
-    h.h_runs.(b) <- h.h_runs.(b) + 1
+    h.h_runs.(b) <- h.h_runs.(b) + 1;
+    Telemetry.bump Telemetry.Counter.Btree_hint_misses
 
   let hint_run_hist h =
     (* copy, with the still-open run counted as if it closed now *)
@@ -286,10 +271,10 @@ module Make (K : Key.ORDERED) = struct
      range, so a covering leaf is authoritative for [key].  The first/last
      leaf of the tree covers everything below/above its keys ("weak
      coverage"), which makes hints hit on append-style ordered streams. *)
-  let covers n nk key =
+  let covers t n nk key =
     nk > 0
-    && (n.leftmost || K.compare n.keys.(0) key <= 0)
-    && (n.rightmost || K.compare key n.keys.(nk - 1) <= 0)
+    && (n.leftmost || compare_keys t n.keys.(0) key <= 0)
+    && (n.rightmost || compare_keys t key n.keys.(nk - 1) <= 0)
 
   (* ------------------------------------------------------------------ *)
   (* Splitting (Algorithm 2)                                            *)
@@ -304,20 +289,20 @@ module Make (K : Key.ORDERED) = struct
   let lock_parent t cur =
     match cur.parent with
     | None ->
-      Olock.start_write t.root_lock;
+      L.start_write t.root_lock;
       Anc_root
     | Some p ->
       let rec acquire p =
-        Olock.start_write p.lock;
+        L.start_write p.lock;
         match cur.parent with
         | Some p' when p' == p -> Anc_node p
         | Some p' ->
-          Olock.abort_write p.lock;
+          L.abort_write p.lock;
           acquire p'
         | None ->
           (* unreachable: a node's parent is cleared only never — roots are
              the only parentless nodes and [cur] is write-locked *)
-          Olock.abort_write p.lock;
+          L.abort_write p.lock;
           assert false
       in
       acquire p
@@ -338,14 +323,17 @@ module Make (K : Key.ORDERED) = struct
     List.iter
       (fun a ->
         match a with
-        | Anc_node p -> Olock.end_write p.lock
-        | Anc_root -> Olock.end_write t.root_lock)
+        | Anc_node p -> L.end_write p.lock
+        | Anc_root -> L.end_write t.root_lock)
       (List.rev path)
 
-  (* Split a full, write-locked (or not yet published) node around its
-     median; returns [(median, right_sibling)].  Children moved to the right
-     sibling get their parent/position fields updated — both are covered by
-     the old parent's lock, which we hold. *)
+  (* Split a full, write-locked node around its median; returns
+     [(median, right_sibling)] with the sibling write-locked — the caller
+     releases it once the sibling is linked into the parent.  Children moved
+     to the sibling get their parent/position fields updated here, and from
+     that moment a writer splitting one of them locks the sibling as its
+     parent: it must wait until this split has finished linking, or two
+     writers would modify the sibling at once. *)
   let split_node t node =
     Telemetry.bump
       (if is_leaf node then Telemetry.Counter.Btree_leaf_splits
@@ -354,6 +342,7 @@ module Make (K : Key.ORDERED) = struct
     let mid = cap / 2 in
     let median = node.keys.(mid) in
     let right = if is_leaf node then alloc_leaf t else alloc_inner t in
+    L.start_write right.lock;
     let rcount = cap - mid - 1 in
     Array.blit node.keys (mid + 1) right.keys 0 rcount;
     right.nkeys <- rcount;
@@ -411,14 +400,17 @@ module Make (K : Key.ORDERED) = struct
         (* [split_node] redirected moved children, so [cur.parent] now names
            whichever half [cur] landed in. *)
         let q = match cur.parent with Some q -> q | None -> assert false in
-        link_sibling q cur right median
+        link_sibling q cur right median;
+        L.end_write p_right.lock
       end
       else link_sibling p cur right median
 
   (* Split the full node [node] (write-locked by the caller, who also
      releases that lock afterwards, cf. Algorithm 1 line 41).  Returns the
-     separator that moved up — the batch path uses it as the left half's new
-     exclusive upper bound to keep filling without re-descending. *)
+     separator that moved up and the new right half — the batch path uses
+     the separator as the left half's new exclusive upper bound to keep
+     filling without re-descending, the hinted insert picks the half that
+     covers its key. *)
   let split_returning t node =
     let path = lock_path t node in
     (* chaos: widen the window during which the ancestor path is
@@ -427,11 +419,11 @@ module Make (K : Key.ORDERED) = struct
     Chaos.yield_if Chaos.Point.Btree_split_delay;
     let median, right = split_node t node in
     insert_into_parent t path node right median;
+    L.end_write right.lock;
     unlock_path t path;
-    ignore (right : node);
-    median
+    (median, right)
 
-  let split t node = ignore (split_returning t node : key)
+  let split t node = ignore (split_returning t node : key * node)
 
   (* ------------------------------------------------------------------ *)
   (* Insertion (Algorithm 1)                                            *)
@@ -440,14 +432,14 @@ module Make (K : Key.ORDERED) = struct
   (* Safely create the root node of an empty tree (Algorithm 1, lines 2-9). *)
   let ensure_root t =
     while t.root == sentinel do
-      if Olock.try_start_write t.root_lock then begin
+      if L.try_start_write t.root_lock then begin
         if t.root == sentinel then begin
           let leaf = alloc_leaf t in
           leaf.leftmost <- true;
           leaf.rightmost <- true;
           t.root <- leaf
         end;
-        Olock.end_write t.root_lock
+        L.end_write t.root_lock
       end
     done
 
@@ -463,10 +455,23 @@ module Make (K : Key.ORDERED) = struct
   let restart_budget_v = ref 16
 
   let set_restart_budget n =
-    if n < 0 then invalid_arg "Btree.set_restart_budget: budget must be >= 0";
+    if n < 0 then
+      invalid_arg (KK.name ^ ".set_restart_budget: budget must be >= 0");
     restart_budget_v := n
 
   let restart_budget () = !restart_budget_v
+
+  (* Acquire the root node's write permit while holding nothing, then
+     confirm it still is the root: replacing the root requires write-locking
+     the old root (via [lock_path]), which our permit excludes. *)
+  let rec acquire_root t =
+    let cur = t.root in
+    L.start_write cur.lock;
+    if t.root == cur then cur
+    else begin
+      L.abort_write cur.lock;
+      acquire_root t
+    end
 
   (* Pessimistic fallback descent: every level is visited under that node's
      {e write} permit, so leases cannot go stale and validation cannot fail
@@ -482,37 +487,25 @@ module Make (K : Key.ORDERED) = struct
      therefore impossible by construction: every repeated restart is paid
      for by a finished insertion elsewhere.
 
-     Note the fallback never calls [Olock.valid], so forced validation
-     failures from the chaos layer cannot unbound it. *)
+     Note the fallback never calls [L.valid], so forced validation failures
+     from the chaos layer cannot unbound it. *)
   let rec insert_pessimistic t key =
-    (* Acquire the root node's write permit while holding nothing, then
-       confirm it still is the root: replacing the root requires write-
-       locking the old root (via [lock_path]), which our permit excludes. *)
-    let rec acquire_root () =
-      let cur = t.root in
-      Olock.start_write cur.lock;
-      if t.root == cur then cur
-      else begin
-        Olock.abort_write cur.lock;
-        acquire_root ()
-      end
-    in
     (* invariant: [cur] write-locked, no other lock held.  [level]/[bucket]
        are flight-recorder node identity: depth from the root and the
        root-child index the descent took (-1 above the first branch). *)
     let rec go cur level bucket =
-      let n = cur.nkeys in
-      let idx, found = search t cur.keys n key in
-      if found then begin
-        Olock.abort_write cur.lock;
-        (false, sentinel)
+      let r = search t cur.keys cur.nkeys key in
+      let idx = slot r in
+      if hit r then begin
+        L.abort_write cur.lock;
+        sentinel
       end
       else if not (is_leaf cur) then begin
         let next = cur.children.(idx) in
         let bucket' = if level = 0 then idx else bucket in
-        let v = Olock.version next.lock in
-        Olock.abort_write cur.lock;
-        if v land 1 = 0 && Olock.try_upgrade_to_write next.lock v then
+        let v = L.version next.lock in
+        L.abort_write cur.lock;
+        if v land 1 = 0 && L.try_upgrade_to_write next.lock v then
           go next (level + 1) bucket'
         else begin
           Flight.record Flight.Ev.Upgrade_fail (level + 1) bucket' 0;
@@ -524,39 +517,40 @@ module Make (K : Key.ORDERED) = struct
            the optimistic path *)
         Flight.record Flight.Ev.Split level bucket 0;
         split t cur;
-        Olock.end_write cur.lock;
+        L.end_write cur.lock;
         insert_pessimistic t key
       end
       else begin
         insert_in_leaf cur idx key;
-        Olock.end_write cur.lock;
-        (true, cur)
+        L.end_write cur.lock;
+        cur
       end
     in
-    go (acquire_root ()) 0 (-1)
+    go (acquire_root t) 0 (-1)
 
-  let fallback t key =
+  (* Run a pessimistic descent under the fallback's telemetry. *)
+  let fallback descent t key =
     Telemetry.bump Telemetry.Counter.Btree_pessimistic_fallbacks;
     Flight.record Flight.Ev.Fallback !restart_budget_v 0 0;
     let t0 = Telemetry.hist_time () in
-    let r = insert_pessimistic t key in
+    let r = descent t key in
     Telemetry.hist_end Telemetry.Hist.Btree_fallback_ns t0;
     r
 
-  (* Full insertion: optimistic descent from the root.  Returns whether the
-     key was new, plus the leaf finally touched (to refresh hints); the leaf
-     is [sentinel] when the duplicate was discovered in an inner node.
+  (* Full insertion: optimistic descent from the root.  Returns the leaf
+     that received the key (to refresh hints), or [sentinel] when the key
+     was already present.
      [attempts] counts optimistic restarts; past the budget the descent
      degrades to {!insert_pessimistic}. *)
   let rec insert_slow t key attempts =
-    if attempts >= !restart_budget_v then fallback t key
+    if attempts >= !restart_budget_v then fallback insert_pessimistic t key
     else begin
       (* Obtain the root and a lease on it, validating the root pointer
          (Algorithm 1, lines 13-17). *)
-      let root_lease = Olock.start_read t.root_lock in
+      let root_lease = L.start_read t.root_lock in
       let cur = t.root in
-      let cur_lease = Olock.start_read cur.lock in
-      if Olock.end_read t.root_lock root_lease then
+      let cur_lease = L.start_read cur.lock in
+      if L.end_read t.root_lock root_lease then
         descend t key cur cur_lease 0 (-1) attempts
       else restart t key attempts
     end
@@ -577,11 +571,11 @@ module Make (K : Key.ORDERED) = struct
        lease — drives the restart counter and, past the budget, the
        pessimistic fallback *)
     Chaos.yield_if Chaos.Point.Btree_descent_yield;
-    let n = clamped_nkeys cur in
-    let idx, found = search t cur.keys n key in
-    if found then begin
+    let r = search t cur.keys (clamped_nkeys cur) key in
+    let idx = slot r in
+    if hit r then begin
       (* value already present — if the observation was consistent *)
-      if Olock.valid cur.lock cur_lease then (false, sentinel)
+      if L.valid cur.lock cur_lease then sentinel
       else begin
         Flight.record Flight.Ev.Validation_fail level bucket 0;
         restart t key attempts
@@ -590,27 +584,27 @@ module Make (K : Key.ORDERED) = struct
     else if not (is_leaf cur) then begin
       let next = cur.children.(idx) in
       let bucket' = if level = 0 then idx else bucket in
-      if not (Olock.valid cur.lock cur_lease) then begin
+      if not (L.valid cur.lock cur_lease) then begin
         Flight.record Flight.Ev.Validation_fail level bucket 0;
         restart t key attempts
       end
       else begin
-        let next_lease = Olock.start_read next.lock in
-        if not (Olock.valid cur.lock cur_lease) then begin
+        let next_lease = L.start_read next.lock in
+        if not (L.valid cur.lock cur_lease) then begin
           Flight.record Flight.Ev.Validation_fail level bucket 0;
           restart t key attempts
         end
         else descend t key next next_lease (level + 1) bucket' attempts
       end
     end
-    else if not (Olock.try_upgrade_to_write cur.lock cur_lease) then begin
+    else if not (L.try_upgrade_to_write cur.lock cur_lease) then begin
       Flight.record Flight.Ev.Upgrade_fail level bucket 0;
       restart t key attempts
     end
     else if cur.nkeys >= t.capacity then begin
       Flight.record Flight.Ev.Split level bucket 0;
       split t cur;
-      Olock.end_write cur.lock;
+      L.end_write cur.lock;
       (* a split is progress, not a failed validation: re-descend on the
          same budget *)
       insert_slow t key attempts
@@ -619,8 +613,8 @@ module Make (K : Key.ORDERED) = struct
       (* The upgrade CAS certifies the node is unchanged since the lease, so
          [idx]/[found] computed above are still accurate. *)
       insert_in_leaf cur idx key;
-      Olock.end_write cur.lock;
-      (true, cur)
+      L.end_write cur.lock;
+      cur
     end
 
   let insert_slow t key = insert_slow t key 0
@@ -629,20 +623,22 @@ module Make (K : Key.ORDERED) = struct
   type hint_attempt = Done of bool | Fallback
 
   (* Hinted attempts have no descent, so their flight events carry the
-     -1/-1 "hinted leaf" node identity. *)
-  let try_insert_at t leaf key =
-    let lease = Olock.start_read leaf.lock in
+     -1/-1 "hinted leaf" node identity.  A full hinted leaf is split in
+     place and the attempt moves on to the half that covers [key] (which
+     becomes the hint), so an ordered stream keeps hitting across splits. *)
+  let rec try_insert_at t h leaf key =
+    let lease = L.start_read leaf.lock in
     let n = clamped_nkeys leaf in
-    if not (covers leaf n key && Olock.valid leaf.lock lease) then Fallback
+    if not (covers t leaf n key && L.valid leaf.lock lease) then Fallback
     else begin
-      let idx, found = search t leaf.keys n key in
-      if found then
-        if Olock.valid leaf.lock lease then Done false
+      let r = search t leaf.keys n key in
+      if hit r then
+        if L.valid leaf.lock lease then Done false
         else begin
           Flight.record Flight.Ev.Validation_fail (-1) (-1) 0;
           Fallback
         end
-      else if not (Olock.try_upgrade_to_write leaf.lock lease) then begin
+      else if not (L.try_upgrade_to_write leaf.lock lease) then begin
         Flight.record Flight.Ev.Upgrade_fail (-1) (-1) 0;
         Fallback
       end
@@ -650,13 +646,15 @@ module Make (K : Key.ORDERED) = struct
         (* Bottom-up split locking starts from the hinted leaf — the very
            compatibility property of section 3.2. *)
         Flight.record Flight.Ev.Split (-1) (-1) 0;
-        split t leaf;
-        Olock.end_write leaf.lock;
-        Fallback
+        let median, right = split_returning t leaf in
+        L.end_write leaf.lock;
+        let half = if compare_keys t key median < 0 then leaf else right in
+        h.insert_leaf <- half;
+        try_insert_at t h half key
       end
       else begin
-        insert_in_leaf leaf idx key;
-        Olock.end_write leaf.lock;
+        insert_in_leaf leaf (slot r) key;
+        L.end_write leaf.lock;
         Done true
       end
     end
@@ -664,25 +662,26 @@ module Make (K : Key.ORDERED) = struct
   let insert_op ?hints t key =
     ensure_root t;
     match hints with
-    | None -> fst (insert_slow t key)
+    | None -> insert_slow t key != sentinel
     | Some h ->
       let attempt =
         if h.insert_leaf == sentinel then Fallback
-        else try_insert_at t h.insert_leaf key
+        else try_insert_at t h h.insert_leaf key
       in
       (match attempt with
       | Done b ->
         h.h_insert_hits <- h.h_insert_hits + 1;
-        run_hit h;
-        Telemetry.bump Telemetry.Counter.Btree_hint_hits;
+        hit_run h;
         b
       | Fallback ->
         h.h_insert_misses <- h.h_insert_misses + 1;
-        run_break h;
-        Telemetry.bump Telemetry.Counter.Btree_hint_misses;
-        let inserted, leaf = insert_slow t key in
-        if leaf != sentinel then h.insert_leaf <- leaf;
-        inserted)
+        miss_run h;
+        let leaf = insert_slow t key in
+        leaf != sentinel
+        && begin
+             h.insert_leaf <- leaf;
+             true
+           end)
 
   let insert ?hints t key =
     let t0 = Telemetry.hist_start Telemetry.Hist.Btree_insert_ns in
@@ -714,30 +713,22 @@ module Make (K : Key.ORDERED) = struct
      write-locked, as the batch filler expects.  The bound snapshot is exact
      here — every separator was read under its node's write permit. *)
   let rec batch_pessimistic t key =
-    let rec acquire_root () =
-      let cur = t.root in
-      Olock.start_write cur.lock;
-      if t.root == cur then cur
-      else begin
-        Olock.abort_write cur.lock;
-        acquire_root ()
-      end
-    in
     let rec go cur hi level bucket =
       let n = cur.nkeys in
-      let idx, found = search t cur.keys n key in
+      let r = search t cur.keys n key in
+      let idx = slot r in
       if not (is_leaf cur) then
-        if found then begin
-          Olock.abort_write cur.lock;
+        if hit r then begin
+          L.abort_write cur.lock;
           Bt_dup
         end
         else begin
           let next = cur.children.(idx) in
           let hi = if idx < n then Some cur.keys.(idx) else hi in
           let bucket' = if level = 0 then idx else bucket in
-          let v = Olock.version next.lock in
-          Olock.abort_write cur.lock;
-          if v land 1 = 0 && Olock.try_upgrade_to_write next.lock v then
+          let v = L.version next.lock in
+          L.abort_write cur.lock;
+          if v land 1 = 0 && L.try_upgrade_to_write next.lock v then
             go next hi (level + 1) bucket'
           else begin
             Flight.record Flight.Ev.Upgrade_fail (level + 1) bucket' 0;
@@ -746,27 +737,19 @@ module Make (K : Key.ORDERED) = struct
         end
       else Bt_leaf (cur, hi)
     in
-    go (acquire_root ()) None 0 (-1)
-
-  let batch_fallback t key =
-    Telemetry.bump Telemetry.Counter.Btree_pessimistic_fallbacks;
-    Flight.record Flight.Ev.Fallback !restart_budget_v 0 0;
-    let t0 = Telemetry.hist_time () in
-    let r = batch_pessimistic t key in
-    Telemetry.hist_end Telemetry.Hist.Btree_fallback_ns t0;
-    r
+    go (acquire_root t) None 0 (-1)
 
   (* Write-lock the leaf responsible for [key], carrying its exclusive
      upper bound down the descent ([None] on the rightmost spine).  [Bt_dup]
      means [key] was found in an inner node.  Same retry budget as the
      single-key descent. *)
   let rec batch_locate t key attempts =
-    if attempts >= !restart_budget_v then batch_fallback t key
+    if attempts >= !restart_budget_v then fallback batch_pessimistic t key
     else begin
-      let root_lease = Olock.start_read t.root_lock in
+      let root_lease = L.start_read t.root_lock in
       let cur = t.root in
-      let cur_lease = Olock.start_read cur.lock in
-      if Olock.end_read t.root_lock root_lease then
+      let cur_lease = L.start_read cur.lock in
+      if L.end_read t.root_lock root_lease then
         batch_descend t key cur cur_lease None 0 (-1) attempts
       else batch_restart t key attempts
     end
@@ -780,10 +763,11 @@ module Make (K : Key.ORDERED) = struct
   and batch_descend t key cur cur_lease hi level bucket attempts =
     Chaos.yield_if Chaos.Point.Btree_descent_yield;
     let n = clamped_nkeys cur in
-    let idx, found = search t cur.keys n key in
+    let r = search t cur.keys n key in
+    let idx = slot r in
     if not (is_leaf cur) then
-      if found then
-        if Olock.valid cur.lock cur_lease then Bt_dup
+      if hit r then
+        if L.valid cur.lock cur_lease then Bt_dup
         else begin
           Flight.record Flight.Ev.Validation_fail level bucket 0;
           batch_restart t key attempts
@@ -792,20 +776,20 @@ module Make (K : Key.ORDERED) = struct
         let next = cur.children.(idx) in
         let hi = if idx < n then Some cur.keys.(idx) else hi in
         let bucket' = if level = 0 then idx else bucket in
-        if not (Olock.valid cur.lock cur_lease) then begin
+        if not (L.valid cur.lock cur_lease) then begin
           Flight.record Flight.Ev.Validation_fail level bucket 0;
           batch_restart t key attempts
         end
         else begin
-          let next_lease = Olock.start_read next.lock in
-          if not (Olock.valid cur.lock cur_lease) then begin
+          let next_lease = L.start_read next.lock in
+          if not (L.valid cur.lock cur_lease) then begin
             Flight.record Flight.Ev.Validation_fail level bucket 0;
             batch_restart t key attempts
           end
           else batch_descend t key next next_lease hi (level + 1) bucket' attempts
         end
       end
-    else if not (Olock.try_upgrade_to_write cur.lock cur_lease) then begin
+    else if not (L.try_upgrade_to_write cur.lock cur_lease) then begin
       Flight.record Flight.Ev.Upgrade_fail level bucket 0;
       batch_restart t key attempts
     end
@@ -824,31 +808,32 @@ module Make (K : Key.ORDERED) = struct
     while (not !stop) && !i < stop_idx do
       let key = run.(!i) in
       let cmp_limit =
-        match !limit with None -> -1 | Some b -> K.compare key b
+        match !limit with None -> -1 | Some b -> compare_keys t key b
       in
       if cmp_limit = 0 then incr i (* equals a live separator: duplicate *)
       else if cmp_limit > 0 then stop := true
       else begin
         let nk = leaf.nkeys in
-        let idx, found = search t leaf.keys nk key in
-        if found then incr i
+        let r = search t leaf.keys nk key in
+        let idx = slot r in
+        if hit r then incr i
         else if nk >= t.capacity then begin
           Flight.record Flight.Ev.Split (-1) (-1) 0;
-          let median = split_returning t leaf in
-          if K.compare key median < 0 then limit := Some median
+          let median, _ = split_returning t leaf in
+          if compare_keys t key median < 0 then limit := Some median
           else stop := true (* the rest of the run re-descends *)
         end
         else begin
           (* splice the whole gap group in two blits *)
           let gap_hi = if idx < nk then Some leaf.keys.(idx) else !limit in
           let in_gap k =
-            match gap_hi with None -> true | Some b -> K.compare k b < 0
+            match gap_hi with None -> true | Some b -> compare_keys t k b < 0
           in
           let room = t.capacity - nk in
           let j = ref (!i + 1) in
           while
             !j - !i < room && !j < stop_idx
-            && K.compare run.(!j - 1) run.(!j) < 0
+            && compare_keys t run.(!j - 1) run.(!j) < 0
             && in_gap run.(!j)
           do
             incr j
@@ -863,14 +848,29 @@ module Make (K : Key.ORDERED) = struct
         end
       end
     done;
-    Olock.end_write leaf.lock;
+    L.end_write leaf.lock;
     (!i, !fresh)
+
+  (* Hinted fast path of the batch: upgrade the cached leaf when it covers
+     [key]; its own last key then bounds the fill (the leaf is authoritative
+     only up to there unless it is rightmost). *)
+  let batch_hinted t h key =
+    let leaf = h.insert_leaf in
+    if leaf == sentinel then None
+    else begin
+      let lease = L.start_read leaf.lock in
+      let nk = clamped_nkeys leaf in
+      if covers t leaf nk key && L.try_upgrade_to_write leaf.lock lease then
+        Some
+          (leaf, if leaf.rightmost then None else Some leaf.keys.(leaf.nkeys - 1))
+      else None
+    end
 
   let insert_batch_op ?hints t run pos len =
     let stop_idx = pos + len in
     for k = pos + 1 to stop_idx - 1 do
-      if K.compare run.(k - 1) run.(k) > 0 then
-        invalid_arg "Btree.insert_batch: run not sorted"
+      if compare_keys t run.(k - 1) run.(k) > 0 then
+        invalid_arg (KK.name ^ ".insert_batch: run not sorted")
     done;
     if len = 0 then 0
     else begin
@@ -880,47 +880,26 @@ module Make (K : Key.ORDERED) = struct
       let i = ref pos in
       while !i < stop_idx do
         let key = run.(!i) in
-        (* hinted fast path: upgrade the cached leaf when it covers [key];
-           its own last key then bounds the fill (the leaf is authoritative
-           only up to there unless it is rightmost) *)
         let hinted =
           match hints with
-          | Some h when h.insert_leaf != sentinel ->
-            let leaf = h.insert_leaf in
-            let lease = Olock.start_read leaf.lock in
-            let nk = clamped_nkeys leaf in
-            if
-              covers leaf nk key
-              && Olock.valid leaf.lock lease
-              && Olock.try_upgrade_to_write leaf.lock lease
-            then begin
-              let nk = leaf.nkeys in
-              let limit =
-                if leaf.rightmost then None else Some leaf.keys.(nk - 1)
-              in
-              Some (leaf, limit)
+          | None -> None
+          | Some h ->
+            let r = batch_hinted t h key in
+            if r = None then begin
+              h.h_insert_misses <- h.h_insert_misses + 1;
+              miss_run h
             end
-            else None
-          | _ -> None
+            else begin
+              h.h_insert_hits <- h.h_insert_hits + 1;
+              hit_run h
+            end;
+            r
         in
         let target =
           match hinted with
-          | Some tgt ->
-            (match hints with
-            | Some h ->
-              h.h_insert_hits <- h.h_insert_hits + 1;
-              run_hit h;
-              Telemetry.bump Telemetry.Counter.Btree_hint_hits
-            | None -> ());
-            Some tgt
-          | None ->
-            (match hints with
-            | Some h ->
-              h.h_insert_misses <- h.h_insert_misses + 1;
-              run_break h;
-              Telemetry.bump Telemetry.Counter.Btree_hint_misses
-            | None -> ());
-            (match batch_locate t key with
+          | Some _ -> hinted
+          | None -> (
+            match batch_locate t key with
             | Bt_dup ->
               incr i;
               None
@@ -942,7 +921,7 @@ module Make (K : Key.ORDERED) = struct
     let n = Array.length run in
     let len = match len with Some l -> l | None -> n - pos in
     if pos < 0 || len < 0 || pos + len > n then
-      invalid_arg "Btree.insert_batch: invalid range";
+      invalid_arg (KK.name ^ ".insert_batch: invalid range");
     let t0 = Telemetry.hist_start Telemetry.Hist.Btree_batch_ns in
     let r = insert_batch_op ?hints t run pos len in
     Telemetry.hist_end Telemetry.Hist.Btree_batch_ns t0;
@@ -952,37 +931,40 @@ module Make (K : Key.ORDERED) = struct
   (* Read operations (read phase: no synchronisation needed)            *)
   (* ------------------------------------------------------------------ *)
 
+  (* Unhinted membership: a plain descent, allocation-free. *)
+  let rec mem_from t node key =
+    node != sentinel
+    &&
+    let r = search t node.keys (clamped_nkeys node) key in
+    hit r || ((not (is_leaf node)) && mem_from t node.children.(slot r) key)
+
+  (* The descent of a missed hinted membership test, which also refreshes
+     the hint with the leaf it reaches. *)
+  let rec mem_refresh t h node key =
+    node != sentinel
+    &&
+    let r = search t node.keys (clamped_nkeys node) key in
+    if is_leaf node then begin
+      h.find_leaf <- node;
+      hit r
+    end
+    else hit r || mem_refresh t h node.children.(slot r) key
+
   let mem_op ?hints t key =
-    let slow () =
-      let rec go node last_leaf =
-        if node == sentinel then (false, last_leaf)
-        else
-          let n = clamped_nkeys node in
-          let idx, found = search t node.keys n key in
-          if found then (true, if is_leaf node then node else last_leaf)
-          else if is_leaf node then (false, node)
-          else go node.children.(idx) last_leaf
-      in
-      go t.root sentinel
-    in
     match hints with
-    | None -> fst (slow ())
+    | None -> mem_from t t.root key
     | Some h ->
       let leaf = h.find_leaf in
       let nk = if leaf == sentinel then 0 else clamped_nkeys leaf in
-      if nk > 0 && covers leaf nk key then begin
+      if covers t leaf nk key then begin
         h.h_find_hits <- h.h_find_hits + 1;
-        run_hit h;
-        Telemetry.bump Telemetry.Counter.Btree_hint_hits;
-        snd (search t leaf.keys nk key)
+        hit_run h;
+        hit (search t leaf.keys nk key)
       end
       else begin
         h.h_find_misses <- h.h_find_misses + 1;
-        run_break h;
-        Telemetry.bump Telemetry.Counter.Btree_hint_misses;
-        let r, l = slow () in
-        if l != sentinel then h.find_leaf <- l;
-        r
+        miss_run h;
+        mem_refresh t h t.root key
       end
 
   let mem ?hints t key =
@@ -1021,10 +1003,10 @@ module Make (K : Key.ORDERED) = struct
         let n = clamped_nkeys node in
         if is_leaf node then (
           match visited with Some r -> r := node | None -> ());
-        let idx, found = search t node.keys n key in
-        if found && not strict then Some key
+        let r = search t node.keys n key in
+        if hit r && not strict then Some key
         else
-          let g = if strict then search_gt node.keys n key else idx in
+          let g = bound_slot ~strict r in
           if is_leaf node then if g < n then Some node.keys.(g) else best
           else
             let best = if g < n then Some node.keys.(g) else best in
@@ -1032,11 +1014,9 @@ module Make (K : Key.ORDERED) = struct
     in
     go t.root None
 
-  let bound ~strict t key = bound_visit ~strict t key
-
   let bound_hinted ~strict ?hints t key =
     match hints with
-    | None -> bound ~strict t key
+    | None -> bound_visit ~strict t key
     | Some h ->
       let leaf = if strict then h.ub_leaf else h.lb_leaf in
       let nk = if leaf == sentinel then 0 else clamped_nkeys leaf in
@@ -1045,27 +1025,22 @@ module Make (K : Key.ORDERED) = struct
          an ancestor — unless the leaf is rightmost (then there is none). *)
       let usable =
         nk > 0
-        && (leaf.leftmost || K.compare leaf.keys.(0) key <= 0)
+        && (leaf.leftmost || compare_keys t leaf.keys.(0) key <= 0)
         &&
-        let c = K.compare key leaf.keys.(nk - 1) in
+        let c = compare_keys t key leaf.keys.(nk - 1) in
         if strict then c < 0 || leaf.rightmost else c <= 0 || leaf.rightmost
       in
       if usable then begin
-        let idx =
-          if strict then search_gt leaf.keys nk key
-          else fst (search t leaf.keys nk key)
-        in
+        let idx = bound_slot ~strict (search t leaf.keys nk key) in
         if strict then h.h_ub_hits <- h.h_ub_hits + 1
         else h.h_lb_hits <- h.h_lb_hits + 1;
-        run_hit h;
-        Telemetry.bump Telemetry.Counter.Btree_hint_hits;
+        hit_run h;
         if idx < nk then Some leaf.keys.(idx) else None
       end
       else begin
         if strict then h.h_ub_misses <- h.h_ub_misses + 1
         else h.h_lb_misses <- h.h_lb_misses + 1;
-        run_break h;
-        Telemetry.bump Telemetry.Counter.Btree_hint_misses;
+        miss_run h;
         (* the query's own descent refreshes the hint *)
         let visited = ref sentinel in
         let r = bound_visit ~visited ~strict t key in
@@ -1086,22 +1061,28 @@ module Make (K : Key.ORDERED) = struct
     Telemetry.hist_end Telemetry.Hist.Btree_bound_ns t0;
     r
 
-  let iter f t =
-    let rec go node =
-      if node != sentinel then
-        if is_leaf node then
-          for i = 0 to node.nkeys - 1 do
-            f node.keys.(i)
-          done
-        else begin
-          for i = 0 to node.nkeys - 1 do
-            go node.children.(i);
-            f node.keys.(i)
-          done;
-          go node.children.(node.nkeys)
-        end
-    in
-    go t.root
+  (* In-order walk of the subtree under [node] — the loop of every full
+     scan.  The count is clamped to the key array (and an inner node has
+     one more child slot than keys), so the unchecked reads stay in
+     bounds. *)
+  let rec iter_node f node =
+    if node != sentinel then begin
+      let keys = node.keys and n = clamped_nkeys node in
+      if is_leaf node then
+        for i = 0 to n - 1 do
+          f (Array.unsafe_get keys i)
+        done
+      else begin
+        let children = node.children in
+        for i = 0 to n - 1 do
+          iter_node f (Array.unsafe_get children i);
+          f (Array.unsafe_get keys i)
+        done;
+        iter_node f (Array.unsafe_get children n)
+      end
+    end
+
+  let iter f t = iter_node f t.root
 
   let fold f init t =
     let acc = ref init in
@@ -1120,35 +1101,21 @@ module Make (K : Key.ORDERED) = struct
      range start), to refresh hints without a second traversal. *)
   let iter_from_plain ?visited ~strict f t key =
     let emit k = if not (f k) then raise Stop in
-    let rec emit_all node =
-      if node != sentinel then
-        if is_leaf node then
-          for i = 0 to node.nkeys - 1 do
-            emit node.keys.(i)
-          done
-        else begin
-          for i = 0 to node.nkeys - 1 do
-            emit_all node.children.(i);
-            emit node.keys.(i)
-          done;
-          emit_all node.children.(node.nkeys)
-        end
-    in
+    let emit_all node = iter_node emit node in
     let rec scan node =
       if node != sentinel then begin
         let n = clamped_nkeys node in
-        let idx, found = search t node.keys n key in
+        let r = search t node.keys n key in
+        let idx = slot r and start = bound_slot ~strict r in
         if is_leaf node then begin
           (match visited with Some r -> r := node | None -> ());
-          let idx = if strict && found then idx + 1 else idx in
-          for i = idx to n - 1 do
+          for i = start to n - 1 do
             emit node.keys.(i)
           done
         end
         else begin
           scan node.children.(idx);
-          let start = if strict && found then idx + 1 else idx in
-          (if strict && found && idx < n then emit_all node.children.(idx + 1));
+          if start > idx then emit_all node.children.(idx + 1);
           for i = start to n - 1 do
             emit node.keys.(i);
             emit_all node.children.(i + 1)
@@ -1164,18 +1131,11 @@ module Make (K : Key.ORDERED) = struct
     | Some h ->
       let leaf = h.lb_leaf in
       let nk = if leaf == sentinel then 0 else clamped_nkeys leaf in
-      let usable =
-        nk > 0
-        && (leaf.leftmost || K.compare leaf.keys.(0) key <= 0)
-        && (leaf.rightmost || K.compare key leaf.keys.(nk - 1) <= 0)
-      in
-      if usable then begin
+      if covers t leaf nk key then begin
         h.h_lb_hits <- h.h_lb_hits + 1;
-        run_hit h;
-        Telemetry.bump Telemetry.Counter.Btree_hint_hits;
-        let idx, _ = search t leaf.keys nk key in
+        hit_run h;
         let continue = ref true in
-        let i = ref idx in
+        let i = ref (slot (search t leaf.keys nk key)) in
         while !continue && !i < nk do
           continue := f leaf.keys.(!i);
           incr i
@@ -1187,8 +1147,7 @@ module Make (K : Key.ORDERED) = struct
       end
       else begin
         h.h_lb_misses <- h.h_lb_misses + 1;
-        run_break h;
-        Telemetry.bump Telemetry.Counter.Btree_hint_misses;
+        miss_run h;
         (* the scan's own descent refreshes the hint *)
         let visited = ref sentinel in
         iter_from_plain ~visited ~strict:false f t key;
@@ -1213,20 +1172,20 @@ module Make (K : Key.ORDERED) = struct
       a
     end
 
-  let insert_all ?hints dst src =
-    let h = match hints with Some h -> h | None -> make_hints () in
+  let insert_all dst src =
+    let h = make_hints () in
     iter (fun k -> ignore (insert ~hints:h dst k : bool)) src
 
   (* ------------------------------------------------------------------ *)
   (* Bulk building                                                      *)
   (* ------------------------------------------------------------------ *)
 
-  let of_sorted_array ?capacity arr =
-    let t = create ?capacity () in
+  let of_sorted_array ?capacity ctx arr =
+    let t = create ?capacity ctx in
     let len = Array.length arr in
     for i = 1 to len - 1 do
-      if K.compare arr.(i - 1) arr.(i) >= 0 then
-        invalid_arg "Btree.of_sorted_array: input not strictly increasing"
+      if compare_keys t arr.(i - 1) arr.(i) >= 0 then
+        invalid_arg (KK.name ^ ".of_sorted_array: input not strictly increasing")
     done;
     if len > 0 then begin
       (* Target fill keeps headroom for later inserts; shared with the
@@ -1324,7 +1283,7 @@ module Make (K : Key.ORDERED) = struct
       else { inode = min_node t.root; idx = 0 }
 
     let get it =
-      if at_end it then invalid_arg "Btree.Iterator.get: at end"
+      if at_end it then invalid_arg (KK.name ^ ".Iterator.get: at end")
       else it.inode.keys.(it.idx)
 
     (* climb to the nearest ancestor of which [node] is not the last child;
@@ -1342,7 +1301,7 @@ module Make (K : Key.ORDERED) = struct
         else climb it p
 
     let advance it =
-      if at_end it then invalid_arg "Btree.Iterator.advance: at end";
+      if at_end it then invalid_arg (KK.name ^ ".Iterator.advance: at end");
       let n = it.inode in
       if is_leaf n then
         if it.idx + 1 < n.nkeys then it.idx <- it.idx + 1 else climb it n
@@ -1359,8 +1318,9 @@ module Make (K : Key.ORDERED) = struct
         if node == sentinel then best
         else
           let nk = node.nkeys in
-          let idx, found = search t node.keys nk key in
-          if found then { inode = node; idx }
+          let r = search t node.keys nk key in
+          let idx = slot r in
+          if hit r then { inode = node; idx }
           else if is_leaf node then
             if idx < nk then { inode = node; idx } else best
           else
@@ -1380,7 +1340,7 @@ module Make (K : Key.ORDERED) = struct
       match (Iterator.at_end ia, Iterator.at_end ib) with
       | true, true -> true
       | false, false ->
-        K.compare (Iterator.get ia) (Iterator.get ib) = 0
+        compare_keys a (Iterator.get ia) (Iterator.get ib) = 0
         && begin
              Iterator.advance ia;
              Iterator.advance ib;
@@ -1408,7 +1368,7 @@ module Make (K : Key.ORDERED) = struct
     let rec go () =
       if Iterator.at_end ia || Iterator.at_end ib then true
       else
-        let c = K.compare (Iterator.get ia) (Iterator.get ib) in
+        let c = compare_keys a (Iterator.get ia) (Iterator.get ib) in
         if c = 0 then false
         else begin
           if c < 0 then Iterator.advance ia else Iterator.advance ib;
@@ -1429,37 +1389,8 @@ module Make (K : Key.ORDERED) = struct
     fill : float;
   }
 
-  let stats t =
-    if is_empty t then { elements = 0; nodes = 0; leaves = 0; height = 0; fill = 0.0 }
-    else begin
-      let elements = ref 0 and nodes = ref 0 and leaves = ref 0 in
-      let rec go node depth maxd =
-        incr nodes;
-        elements := !elements + node.nkeys;
-        if is_leaf node then begin
-          incr leaves;
-          max maxd depth
-        end
-        else begin
-          let m = ref maxd in
-          for i = 0 to node.nkeys do
-            m := max !m (go node.children.(i) (depth + 1) !m)
-          done;
-          !m
-        end
-      in
-      let height = go t.root 1 1 in
-      {
-        elements = !elements;
-        nodes = !nodes;
-        leaves = !leaves;
-        height;
-        fill = float_of_int !elements /. float_of_int (!nodes * t.capacity);
-      }
-    end
-
-  (* Full structural report; same height/fill conventions as [stats]
-     (root-only tree has height 1).  Quiescent traversal. *)
+  (* Full structural report (root-only tree has height 1).  Quiescent
+     traversal. *)
   let shape t =
     if is_empty t then Tree_shape.empty ~capacity:t.capacity
     else begin
@@ -1497,6 +1428,16 @@ module Make (K : Key.ORDERED) = struct
       }
     end
 
+  let stats t =
+    let s = shape t in
+    {
+      elements = s.Tree_shape.elements;
+      nodes = s.Tree_shape.nodes;
+      leaves = s.Tree_shape.leaves;
+      height = s.Tree_shape.height;
+      fill = s.Tree_shape.fill;
+    }
+
   let check_invariants t =
     let fail fmt = Printf.ksprintf failwith fmt in
     if not (is_empty t) then begin
@@ -1507,16 +1448,16 @@ module Make (K : Key.ORDERED) = struct
         if n < 1 then fail "node with %d keys" n;
         if n > t.capacity then fail "node overflow: %d > %d" n t.capacity;
         for i = 0 to n - 2 do
-          if K.compare node.keys.(i) node.keys.(i + 1) >= 0 then
+          if compare_keys t node.keys.(i) node.keys.(i + 1) >= 0 then
             fail "keys out of order at index %d" i
         done;
         (match lo with
         | Some l ->
-          if K.compare l node.keys.(0) >= 0 then fail "lower bound violated"
+          if compare_keys t l node.keys.(0) >= 0 then fail "lower bound violated"
         | None -> ());
         (match hi with
         | Some h ->
-          if K.compare node.keys.(n - 1) h >= 0 then fail "upper bound violated"
+          if compare_keys t node.keys.(n - 1) h >= 0 then fail "upper bound violated"
         | None -> ());
         if is_leaf node then begin
           if !leaf_depth = -1 then leaf_depth := depth
@@ -1576,44 +1517,53 @@ module Make (K : Key.ORDERED) = struct
   let s_upper_bound s key = upper_bound ~hints:s.s_hints s.s_tree key
   let s_iter_from f s key = iter_from ~hints:s.s_hints f s.s_tree key
 
-  (* ------------------------------------------------------------------ *)
-  (* Backend conformance                                                *)
-  (* ------------------------------------------------------------------ *)
-
-  (* Ascription-only witness that the tree satisfies the shared storage
-     backend contract; generic drivers go through this view. *)
-  module As_storage : Storage_intf.S with type elt = key and type t = t =
-  struct
-    type elt = K.t
-    type nonrec t = t
-
-    let create () = create ()
-    let insert t k = insert t k
-    let insert_batch t run = insert_batch t run
-    let mem t k = mem t k
-    let lower_bound t k = lower_bound t k
-    let upper_bound t k = upper_bound t k
-    let iter = iter
-    let iter_from f t k = iter_from f t k
-    let cardinal = cardinal
-    let is_empty = is_empty
-    let ordered = true
-    let shape t = Some (shape t)
-  end
-
-  (* ------------------------------------------------------------------ *)
-  (* Public unhinted surface                                            *)
-  (* ------------------------------------------------------------------ *)
-
   (* The [?hints] optional arguments are not exported: hinted operation
      goes through a per-domain session, everything else through these
-     unhinted rebinds (which the .mli exposes).  This completes the PR 3
-     session migration — there is exactly one way to hold hints. *)
+     unhinted rebinds. *)
   let insert t key = insert t key
   let insert_batch ?pos ?len t run = insert_batch ?pos ?len t run
-  let insert_all dst src = insert_all dst src
   let mem t key = mem t key
   let lower_bound t key = lower_bound t key
   let upper_bound t key = upper_bound t key
   let iter_from f t key = iter_from f t key
 end
+
+(* The sequential twin's lock: every permit is granted at once and nothing
+   is counted, so the shared algorithm runs with its synchronisation
+   compiled down to no-op calls — the "seq btree" contestant of Fig. 3. *)
+module No_lock : Olock.S = struct
+  type t = unit
+  type lease = int
+
+  let create () = ()
+  let start_read () = 0
+  let valid () _ = true
+  let end_read () _ = true
+  let try_upgrade_to_write () _ = true
+  let try_start_write () = true
+  let start_write () = ()
+  let end_write () = ()
+  let abort_write () = ()
+  let is_write_locked () = false
+  let version () = 0
+end
+
+(* A tree over a generic [Key.ORDERED]: the kernel context is just the
+   binary-search flag, defaulted here. *)
+module Over_keys (L : Olock.S) (KK : Btree_kernel.S with type ctx = bool) = struct
+  include Core (L) (KK)
+
+  let create ?capacity ?(binary_search = false) () = create ?capacity binary_search
+  let of_sorted_array ?capacity arr = of_sorted_array ?capacity false arr
+end
+
+module Make (K : Key.ORDERED) = Over_keys (Olock) (Btree_kernel.Generic (K))
+
+module Seq (K : Key.ORDERED) =
+  Over_keys
+    (No_lock)
+    (struct
+      include Btree_kernel.Generic (K)
+
+      let name = "Btree_seq"
+    end)

@@ -2,10 +2,14 @@
 
     Datalog relations are sets of fixed-arity integer tuples ordered
     lexicographically (paper, section 2).  Every container in this
-    reproduction — the concurrent B-tree, its sequential variant, the
-    baselines and the alternative trees — is a functor over one of these
-    signatures, so the same key types are used by all contestants of a
-    benchmark. *)
+    reproduction is a functor over one of these signatures, so the same key
+    types are used by all contestants of a benchmark: the baselines and the
+    alternative trees directly, the B-tree through its generic key kernel
+    ([Btree.Make] and its sequential twin [Btree.Seq] both come from
+    [Btree.Core] over [Btree_kernel.Generic]).  The engine's tuple index
+    ([Btree_tuples]) is the same tree over the tuple kernel, which orders
+    [int array]s by a per-tree column permutation instead of
+    {!Int_array.compare}. *)
 
 module type ORDERED = sig
   type t

@@ -32,7 +32,8 @@
       *transitive* summary may block is also a finding.
 
    R4 hygiene: [Obj.magic] is banned everywhere; in the hot modules
-      (lib/btree/{btree,btree_seq,btree_tuples,leaf_pack}.ml,
+      (lib/btree/{btree,btree_intf,btree_kernel,btree_tuples,leaf_pack}.ml
+      — every file the one B-tree lives in —
       lib/datalog/{eval,storage,relation}.ml) the polymorphic [compare]
       (bare or [Stdlib.compare]) and polymorphic comparison operators
       applied to tuple literals are banned — use [Key.compare] or a
@@ -144,7 +145,8 @@ let hot_modules =
   [
     "btree.ml";
     "key.ml";
-    "btree_seq.ml";
+    "btree_intf.ml";
+    "btree_kernel.ml";
     "btree_tuples.ml";
     "leaf_pack.ml";
     "eval.ml";

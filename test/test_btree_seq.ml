@@ -1,7 +1,7 @@
 (* Tests for the sequential B-tree variant, including cross-checks against
    the concurrent tree (they must be observationally identical). *)
 
-module S = Btree_seq.Make (Key.Int)
+module S = Btree.Seq (Key.Int)
 module C = Btree.Make (Key.Int)
 module ISet = Set.Make (Int)
 
@@ -48,26 +48,26 @@ let test_random_vs_model () =
 
 let test_hinted_ordered_insert_hits () =
   let t = S.create ~capacity:8 () in
-  let h = S.make_hints () in
+  let h = S.session t in
   let n = 10_000 in
   for i = 0 to n - 1 do
-    ignore (S.insert ~hints:h t i : bool)
+    ignore (S.s_insert h i : bool)
   done;
   S.check_invariants t;
   check_int "cardinal" n (S.cardinal t);
-  let s = S.hint_stats h in
+  let s = S.hint_stats (S.s_hints h) in
   check_bool "hints dominate on ordered stream" true (s.S.insert_hits > (9 * n) / 10)
 
 let test_hinted_random_vs_model () =
   let r = rng 2 in
   let t = S.create ~capacity:6 () in
-  let h = S.make_hints () in
+  let h = S.session t in
   let model = ref ISet.empty in
   for _ = 1 to 10_000 do
     let k = r 50_000 in
     check_bool "hinted insert matches model"
       (not (ISet.mem k !model))
-      (S.insert ~hints:h t k);
+      (S.s_insert h k);
     model := ISet.add k !model
   done;
   check_ilist "hinted contents" (ISet.elements !model) (S.to_list t);
@@ -77,9 +77,9 @@ let test_hinted_random_vs_model () =
   let model_ub k = ISet.find_first_opt (fun x -> x > k) !model in
   for _ = 1 to 2000 do
     let p = r 50_000 in
-    Alcotest.check int_opt "lb" (model_lb p) (S.lower_bound ~hints:h t p);
-    Alcotest.check int_opt "ub" (model_ub p) (S.upper_bound ~hints:h t p);
-    check_bool "mem" (ISet.mem p !model) (S.mem ~hints:h t p)
+    Alcotest.check int_opt "lb" (model_lb p) (S.s_lower_bound h p);
+    Alcotest.check int_opt "ub" (model_ub p) (S.s_upper_bound h p);
+    check_bool "mem" (ISet.mem p !model) (S.s_mem h p)
   done
 
 let test_bounds () =
@@ -148,8 +148,8 @@ let prop_hinted_model =
     QCheck.(list (int_bound 100))
     (fun keys ->
       let t = S.create ~capacity:4 () in
-      let h = S.make_hints () in
-      List.iter (fun k -> ignore (S.insert ~hints:h t k : bool)) keys;
+      let h = S.session t in
+      List.iter (fun k -> ignore (S.s_insert h k : bool)) keys;
       S.check_invariants t;
       S.to_list t = ISet.elements (ISet.of_list keys))
 

@@ -108,6 +108,26 @@ let test_r2_clean () =
   let fs = check_fixture ~name:"r2_conforming.ml" ~hot:false ~atomic_ok:true () in
   Alcotest.(check int) "no findings" 0 (List.length fs)
 
+(* R2 (and R3) inside a functor body whose lock is a functor parameter,
+   the shape of Btree.Core: [L.start_read] is as much a lease as
+   [Olock.start_read]. *)
+
+let test_r2_functor_fires () =
+  let fs =
+    check_fixture ~name:"r2_functor_violation.ml" ~hot:false ~atomic_ok:true ()
+  in
+  (* peek: escape + unvalidated; dropped *)
+  Alcotest.(check int) "lease-discipline findings" 3
+    (count Lint.rule_lease_discipline fs);
+  Alcotest.(check int) "blocking under an L write permit" 1
+    (count Lint.rule_no_blocking fs)
+
+let test_r2_functor_clean () =
+  let fs =
+    check_fixture ~name:"r2_functor_conforming.ml" ~hot:false ~atomic_ok:true ()
+  in
+  Alcotest.(check int) "no findings" 0 (List.length fs)
+
 (* --- R3 no blocking under a write permit -------------------------- *)
 
 let test_r3_fires () =
@@ -323,6 +343,10 @@ let test_baseline_diff () =
 let test_classification () =
   Alcotest.(check bool) "btree.ml is hot" true
     (Lint.default_hot "lib/btree/btree.ml");
+  Alcotest.(check bool) "btree_kernel.ml is hot" true
+    (Lint.default_hot "lib/btree/btree_kernel.ml");
+  Alcotest.(check bool) "btree_tuples.ml is hot" true
+    (Lint.default_hot "lib/btree/btree_tuples.ml");
   Alcotest.(check bool) "symtab.ml is not hot" false
     (Lint.default_hot "lib/datalog/symtab.ml");
   Alcotest.(check bool) "olock.ml may use atomics" true
@@ -354,6 +378,8 @@ let () =
         [
           Alcotest.test_case "fires" `Quick test_r2_fires;
           Alcotest.test_case "clean" `Quick test_r2_clean;
+          Alcotest.test_case "functor lock fires" `Quick test_r2_functor_fires;
+          Alcotest.test_case "functor lock clean" `Quick test_r2_functor_clean;
         ] );
       ( "r3-no-blocking",
         [

@@ -34,11 +34,13 @@ dune exec test/test_modelcheck.exe
 
 echo "== chaos stress smoke (fixed seed, deterministic) =="
 # 100 seeded runs cycling optimistic / all-pessimistic / pool-fault /
-# tuple-tree / query-server / wal-durability scenarios under active
-# failpoints; every run ends in a full audit (check_invariants, the
-# served-relation-equals-acked-set audit for the server scenario, or the
-# torn-tail + kill -9 recovery differential for the wal scenario) and
-# failing seeds replay deterministically.
+# tuple-tree / query-server / wal-durability / engine-differential
+# scenarios; every run ends in a full audit (check_invariants, the
+# served-relation-equals-acked-set audit for the server scenario, the
+# torn-tail + kill -9 recovery differential for the wal scenario, or 3
+# hinted-B-tree points-to evaluations on a pool of 2 each matching a
+# hash-set engine — 42 in all — for the eval scenario) and failing seeds
+# replay deterministically.
 sh tools/stress.sh --seed 42 --domains 4 --runs 100
 
 echo "== flight-recorder crash-dump selftest =="

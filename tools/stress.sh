@@ -1,13 +1,15 @@
 #!/bin/sh
 # Chaos stress harness wrapper: randomized multi-domain schedules under
 # active failpoints, full invariant audit after every run, per-run seeds
-# printed for deterministic replay.  Runs cycle through six scenarios:
+# printed for deterministic replay.  Runs cycle through seven scenarios:
 # optimistic tree, all-pessimistic tree, pool faults, tuple tree, the
 # resident query server (client domains under connection drops and forced
-# admission busy, audited against the exactly-acked fact set), and WAL
+# admission busy, audited against the exactly-acked fact set), WAL
 # durability (torn-tail appends under wal.write.short, then a kill -9 of a
 # strict-durability server child whose restart must serve exactly the
-# acked rows).
+# acked rows), and an engine differential (three points-to evaluations per
+# run on the hinted B-tree with a pool of 2, each equal to a hash-set
+# engine's; 100 runs make 42 evaluations).
 #
 #   sh tools/stress.sh --seed 42 --domains 4 --runs 100
 #   sh tools/stress.sh --seed 42 --domains 4 --replay 17   # rerun one seed
