@@ -253,16 +253,18 @@ let run_program file storage threads print_rels show_stats show_profile facts_di
         (* Live gauges for the scrape windows: Dl_stats are Sync counters,
            so reading them mid-evaluation is safe (no tree traversal). *)
         if server <> None && show_stats then
-          Telemetry_server.register_gauges "datalog" (fun () ->
-              match Engine.stats engine with
-              | None -> []
-              | Some s ->
-                [
-                  ("inserts", float_of_int s.Dl_stats.s_inserts);
-                  ("mem_tests", float_of_int s.Dl_stats.s_mem_tests);
-                  ("produced_tuples", float_of_int s.Dl_stats.s_produced_tuples);
-                  ("input_tuples", float_of_int s.Dl_stats.s_input_tuples);
-                ]);
+          ignore
+            (Telemetry.register_gauges "datalog" (fun () ->
+                 match Engine.stats engine with
+                 | None -> []
+                 | Some s ->
+                   [
+                     ("inserts", float_of_int s.Dl_stats.s_inserts);
+                     ("mem_tests", float_of_int s.Dl_stats.s_mem_tests);
+                     ("produced_tuples", float_of_int s.Dl_stats.s_produced_tuples);
+                     ("input_tuples", float_of_int s.Dl_stats.s_input_tuples);
+                   ])
+              : unit -> unit);
         (match facts_dir with
         | Some dir -> (
           match Dl_io.load_facts_dir ~lenient engine dir with

@@ -361,14 +361,4 @@ module Make (K : Key.ORDERED) = struct
           | None -> ());
           prev := Some k)
         t
-
-  let insert_batch t run =
-    let n = Array.length run in
-    for k = 1 to n - 1 do
-      if K.compare run.(k - 1) run.(k) > 0 then
-        invalid_arg "Bplus_tree.insert_batch: run not sorted"
-    done;
-    let fresh = ref 0 in
-    Array.iter (fun k -> if insert t k then incr fresh) run;
-    !fresh
 end

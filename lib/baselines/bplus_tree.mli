@@ -36,9 +36,4 @@ module Make (K : Key.ORDERED) : sig
   (** Bulk-build from a strictly increasing array; O(n). *)
 
   val check_invariants : t -> unit
-
-  val insert_batch : t -> key array -> int
-  (** Insert a sorted run (non-decreasing; duplicates skipped); returns the
-      fresh-element count.  A validated insert loop, the baseline
-      counterpart of [Btree.S.insert_batch].  @raise Invalid_argument when the run is not sorted. *)
 end

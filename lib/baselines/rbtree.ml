@@ -213,14 +213,4 @@ module Make (K : Key.ORDERED) = struct
     ignore (go t.root None None : int);
     let n = fold (fun acc _ -> acc + 1) 0 t in
     if n <> t.count then fail "count %d <> enumerated %d" t.count n
-
-  let insert_batch t run =
-    let n = Array.length run in
-    for k = 1 to n - 1 do
-      if K.compare run.(k - 1) run.(k) > 0 then
-        invalid_arg "Rbtree.insert_batch: run not sorted"
-    done;
-    let fresh = ref 0 in
-    Array.iter (fun k -> if insert t k then incr fresh) run;
-    !fresh
 end

@@ -33,10 +33,4 @@ module Make (K : Key.ORDERED) : sig
   val check_invariants : t -> unit
   (** BST order, no red node with a red child, equal black height on all
       paths, black root.  @raise Failure on violation. *)
-
-  val insert_batch : t -> key array -> int
-  (** Insert a sorted run (non-decreasing; duplicates skipped); returns the
-      fresh-element count.  No amortisation here — a validated insert loop,
-      the baseline counterpart of [Btree.S.insert_batch].
-      @raise Invalid_argument when the run is not sorted. *)
 end

@@ -2,19 +2,20 @@ type kind = Btree | Btree_nohints | Rbtree | Hashset | Bplus | Tbb_hash
 
 let all_kinds = [ Btree; Btree_nohints; Rbtree; Hashset; Bplus; Tbb_hash ]
 
-(* Key module comparing int-array tuples in [cols]-major order, remaining
-   columns in ascending position order.  The comparator is specialised for
-   the common arities: without cross-module inlining every K.compare call is
-   indirect, so shaving the permutation-array loop measurably speeds up all
-   tree-backed indexes. *)
-let ordered_key ~arity ~(cols : int array) : (module Key.ORDERED with type t = int array) =
-  let in_cols = Array.make arity false in
-  Array.iter (fun c -> in_cols.(c) <- true) cols;
-  let rest = ref [] in
-  for p = arity - 1 downto 0 do
-    if not in_cols.(p) then rest := p :: !rest
-  done;
-  let order = Array.append cols (Array.of_list !rest) in
+(* The total column order of an index: the listed columns (a signature
+   or a shared chain order), then the remaining columns of an
+   [arity]-tuple in ascending position. *)
+let total_order ~arity listed =
+  let seen = Array.make (max 1 arity) false in
+  Array.iter (fun c -> seen.(c) <- true) listed;
+  Array.append listed
+    (Array.of_list (List.filter (fun p -> not seen.(p)) (List.init arity Fun.id)))
+
+(* Key module comparing int-array tuples in a total column [order].  The
+   comparator is specialised for the common arities: without cross-module
+   inlining every K.compare call is indirect, so shaving the
+   permutation-array loop measurably speeds up all tree-backed indexes. *)
+let ordered_key order : (module Key.ORDERED with type t = int array) =
   let cmp2 p0 p1 a b =
     let x = Array.unsafe_get a p0 and y = Array.unsafe_get b p0 in
     if x < y then -1
@@ -80,8 +81,6 @@ module Index = struct
 
   type t = {
     i_insert : int array -> bool;
-    i_insert_batch : int array array -> int;
-        (* sorted run in the index's own order; returns fresh count *)
     i_merge : Pool.t option -> int array array -> int;
         (* unsorted tuples: sort a private copy in index order, then batch
            insert — partitioned across the pool for concurrent kinds *)
@@ -141,33 +140,10 @@ module Index = struct
 
   (* ---------------- ordered kinds ---------------- *)
 
-  let full_order ~arity ~cols =
-    let in_cols = Array.make (max 1 arity) false in
-    Array.iter (fun c -> in_cols.(c) <- true) cols;
-    let rest = ref [] in
-    for p = arity - 1 downto 0 do
-      if not in_cols.(p) then rest := p :: !rest
-    done;
-    Array.append cols (Array.of_list !rest)
-
-  (* extend a (possibly partial) shared order to a total column order *)
-  let extend_order ~arity order =
-    let present = Array.make (max 1 arity) false in
-    Array.iter (fun c -> present.(c) <- true) order;
-    let rest = ref [] in
-    for p = arity - 1 downto 0 do
-      if not present.(p) then rest := p :: !rest
-    done;
-    Array.append order (Array.of_list !rest)
-
   let make_btree ~hints ~arity ~cols ~order ~stats =
     (* specialized tuple tree: inlined comparator; the comparison order is
        either cols-major or an explicit shared-chain order *)
-    let order =
-      match order with
-      | Some o -> extend_order ~arity o
-      | None -> full_order ~arity ~cols
-    in
+    let order = total_order ~arity (Option.value order ~default:cols) in
     let tree = Btree_tuples.create ~arity ~order () in
     (* the hints of every session ever handed to a cursor, for hit-rate
        reporting *)
@@ -267,7 +243,6 @@ module Index = struct
     in
     {
       i_insert = (fun tup -> Btree_tuples.insert tree tup);
-      i_insert_batch = (fun run -> Btree_tuples.insert_batch tree run);
       i_merge = merge;
       i_mem = (fun tup -> Btree_tuples.mem tree tup);
       i_iter = (fun f -> Btree_tuples.iter f tree);
@@ -294,10 +269,22 @@ module Index = struct
               None !hint_registry);
     }
 
-  let make_rbtree ~arity ~cols ~order ~stats =
-    let module K = (val ordered_key ~arity ~cols:(match order with Some o -> o | None -> cols)) in
-    let module T = Rbtree.Make (K) in
-    let tree = T.create () in
+  (* What an index needs of a sequential ordered baseline tree. *)
+  module type SEQ_TREE = sig
+    type t
+
+    val insert : t -> int array -> bool
+    val mem : t -> int array -> bool
+    val iter : (int array -> unit) -> t -> unit
+    val iter_from : (int array -> bool) -> t -> int array -> unit
+    val cardinal : t -> int
+    val is_empty : t -> bool
+  end
+
+  (* The thread-unsafe ordered baselines ("rbtset", "google btree"): one
+     index over [tree], which orders tuples by [compare]. *)
+  let make_seq_tree (type tree) (module T : SEQ_TREE with type t = tree)
+      (tree : tree) ~compare ~arity ~stats =
     let scan scratch ~cols bound f =
       count_scan stats (Array.length cols);
       if Array.length cols = 0 then T.iter f tree
@@ -327,11 +314,10 @@ module Index = struct
     in
     {
       i_insert = (fun tup -> T.insert tree tup);
-      i_insert_batch = (fun run -> T.insert_batch tree run);
       i_merge =
         (fun _pool tuples ->
           (* not thread-safe: always a serial sorted loop *)
-          sort_and_count ~compare:K.compare ~insert:(T.insert tree) tuples);
+          sort_and_count ~compare ~insert:(T.insert tree) tuples);
       i_mem = (fun tup -> T.mem tree tup);
       i_iter = (fun f -> T.iter f tree);
       i_cardinal = (fun () -> T.cardinal tree);
@@ -342,52 +328,18 @@ module Index = struct
       i_hint_runs = (fun () -> None);
     }
 
+  let seq_key ~arity ~cols ~order =
+    ordered_key (total_order ~arity (Option.value order ~default:cols))
+
+  let make_rbtree ~arity ~cols ~order ~stats =
+    let module K = (val seq_key ~arity ~cols ~order) in
+    let module T = Rbtree.Make (K) in
+    make_seq_tree (module T) (T.create ()) ~compare:K.compare ~arity ~stats
+
   let make_bplus ~arity ~cols ~order ~stats =
-    let module K = (val ordered_key ~arity ~cols:(match order with Some o -> o | None -> cols)) in
+    let module K = (val seq_key ~arity ~cols ~order) in
     let module T = Bplus_tree.Make (K) in
-    let tree = T.create () in
-    let scan scratch ~cols bound f =
-      count_scan stats (Array.length cols);
-      if Array.length cols = 0 then T.iter f tree
-      else begin
-        Array.fill scratch 0 arity min_int;
-        Array.iteri (fun i c -> scratch.(c) <- bound.(i)) cols;
-        T.iter_from
-          (fun tup ->
-            if matches ~cols bound tup then begin
-              f tup;
-              true
-            end
-            else false)
-          tree scratch
-      end
-    in
-    let cursor () =
-      let scratch = Array.make (max 1 arity) 0 in
-      {
-        c_insert = (fun tup -> T.insert tree tup);
-        c_mem =
-          (fun tup ->
-            count_mem stats;
-            T.mem tree tup);
-        c_scan = scan scratch;
-      }
-    in
-    {
-      i_insert = (fun tup -> T.insert tree tup);
-      i_insert_batch = (fun run -> T.insert_batch tree run);
-      i_merge =
-        (fun _pool tuples ->
-          sort_and_count ~compare:K.compare ~insert:(T.insert tree) tuples);
-      i_mem = (fun tup -> T.mem tree tup);
-      i_iter = (fun f -> T.iter f tree);
-      i_cardinal = (fun () -> T.cardinal tree);
-      i_is_empty = (fun () -> T.is_empty tree);
-      i_cursor = cursor;
-      i_hint_counters = (fun () -> None);
-      i_shape = (fun () -> None);
-      i_hint_runs = (fun () -> None);
-    }
+    make_seq_tree (module T) (T.create ()) ~compare:K.compare ~arity ~stats
 
   (* ---------------- hash kinds ---------------- *)
 
@@ -422,11 +374,6 @@ module Index = struct
       in
       {
         i_insert = (fun tup -> H.insert set tup);
-        i_insert_batch =
-          (fun run ->
-            let fresh = ref 0 in
-            Array.iter (fun tup -> if H.insert set tup then incr fresh) run;
-            !fresh);
         i_merge =
           (fun _pool tuples ->
             let fresh = ref 0 in
@@ -478,7 +425,6 @@ module Index = struct
       in
       {
         i_insert = insert;
-        i_insert_batch = insert_many;
         i_merge = (fun _pool tuples -> insert_many tuples);
         i_mem =
           (fun tup ->
@@ -536,11 +482,6 @@ module Index = struct
       in
       {
         i_insert = (fun tup -> H.insert set tup);
-        i_insert_batch =
-          (fun run ->
-            let fresh = ref 0 in
-            Array.iter (fun tup -> if H.insert set tup then incr fresh) run;
-            !fresh);
         i_merge = merge;
         i_mem = (fun tup -> H.mem set tup);
         i_iter = (fun f -> H.iter f set);
@@ -615,7 +556,6 @@ module Index = struct
       in
       {
         i_insert = insert;
-        i_insert_batch = insert_many;
         i_merge = merge;
         i_mem = mem;
         i_iter = iter;
@@ -793,7 +733,6 @@ module Index = struct
     in
     {
       i_insert = (fun tup -> as_writer (fun () -> t.i_insert tup));
-      i_insert_batch = (fun run -> as_writer (fun () -> t.i_insert_batch run));
       i_merge = (fun pool tuples -> as_writer (fun () -> t.i_merge pool tuples));
       i_mem = (fun tup -> as_reader (fun () -> t.i_mem tup));
       i_iter = (fun f -> as_reader (fun () -> t.i_iter f));
@@ -806,7 +745,6 @@ module Index = struct
     }
 
   let insert t tup = t.i_insert tup
-  let insert_batch t run = t.i_insert_batch run
   let merge ?pool t tuples = t.i_merge pool tuples
   let mem t tup = t.i_mem tup
   let iter t f = t.i_iter f

@@ -74,20 +74,14 @@ module Index : sig
       primary index; secondary indexes always contain exactly the tuples of
       the primary. *)
 
-  val insert_batch : t -> int array array -> int
-  (** [insert_batch t run] adds a run of tuples sorted in {e this index's}
-      comparison order (non-decreasing; duplicates skipped) and returns the
-      fresh-tuple count.  Tree kinds amortise one descent and one leaf
-      write permit across each leaf's worth of the run
-      ({!Btree_tuples.insert_batch}); hash kinds degrade to an insert loop.
-      Freshness is only meaningful on the primary index.
-      @raise Invalid_argument when the run is not sorted (ordered kinds). *)
-
   val merge : ?pool:Pool.t -> t -> int array array -> int
-  (** [merge ?pool t tuples] inserts an {e unsorted} tuple array: sorts a
-      private copy in the index's own order and feeds it to the batch
-      path.  With a pool of more than one worker and enough tuples,
-      thread-safe kinds run the merge in parallel — the B-tree kinds
+  (** [merge ?pool t tuples] inserts an {e unsorted} tuple array: the
+      ordered kinds sort a private copy in the index's own order and
+      insert it as a sorted run (the B-tree kinds through
+      {!Btree_tuples.insert_batch}, which amortises one descent and one
+      leaf write permit across each leaf's worth of the run); hash kinds
+      loop over inserts.  With a pool of more than one worker and enough
+      tuples, thread-safe kinds run the merge in parallel — the B-tree kinds
       partition the run by the tree's internal separators so every
       partition descends into a disjoint subtree and batch-inserts with
       its own hints (the parallel structural merge); concurrent hash kinds

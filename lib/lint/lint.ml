@@ -1364,233 +1364,85 @@ let check_roots roots =
   (files, findings)
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission / parsing (no external deps)                          *)
+(* JSON documents (through the shared Json codec)                      *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Json_error of string
-
-(* Minimal recursive-descent JSON parser — just enough for our own
-   schemas (strings, ints, arrays, objects). *)
-let json_parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Json_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+(* [fields] plus a last member [key] holding [items], one item per
+   line, so a checked-in baseline diffs line by line. *)
+let json_lines fields key items =
+  let member k v = Json.to_string (Json.String k) ^ ":" ^ v in
+  let items =
+    match items with
+    | [] -> "[]"
+    | _ ->
+      "[\n  " ^ String.concat ",\n  " (List.map Json.to_string items) ^ "\n]"
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let h = String.sub s !pos 4 in
-    pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some v -> v
-    | None -> fail "bad \\u escape"
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some '"' -> advance (); Buffer.add_char b '"'; go ()
-        | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
-        | Some '/' -> advance (); Buffer.add_char b '/'; go ()
-        | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-        | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-        | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-        | Some 'b' -> advance (); Buffer.add_char b '\b'; go ()
-        | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
-        | Some 'u' ->
-          advance ();
-          let v = parse_hex4 () in
-          (* our emitter only escapes control chars this way *)
-          if v < 0x80 then Buffer.add_char b (Char.chr v)
-          else Buffer.add_char b '?';
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        advance ();
-        Buffer.add_char b c;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then (advance (); Jobj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Jobj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then (advance (); Jlist [])
-      else
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Jlist (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements []
-    | Some 't' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "true" then (
-        pos := !pos + 4;
-        Jbool true)
-      else fail "bad literal"
-    | Some 'f' ->
-      if !pos + 5 <= n && String.sub s !pos 5 = "false" then (
-        pos := !pos + 5;
-        Jbool false)
-      else fail "bad literal"
-    | Some 'n' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "null" then (
-        pos := !pos + 4;
-        Jnull)
-      else fail "bad literal"
-    | Some c when c = '-' || (c >= '0' && c <= '9') ->
-      let start = !pos in
-      let num_char c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while (match peek () with Some c when num_char c -> true | _ -> false) do
-        advance ()
-      done;
-      (match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some v -> Jnum v
-      | None -> fail "bad number")
-    | _ -> fail "unexpected input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+  "{"
+  ^ String.concat ","
+      (List.map (fun (k, v) -> member k (Json.to_string v)) fields
+      @ [ member key items ])
+  ^ "}\n"
 
-let jget obj key =
-  match obj with
-  | Jobj fields -> List.assoc_opt key fields
-  | _ -> None
+let jstr = function Some (Json.String s) -> Some s | _ -> None
+let jint = function Some (Json.Int i) -> Some i | _ -> None
 
-let jstr = function Jstr s -> Some s | _ -> None
-let jint = function Jnum f -> Some (int_of_float f) | _ -> None
+(* [Ok entries] when [src] is a [schema] document whose [key] array
+   entries all parse. *)
+let json_doc_of_string ~schema ~key ~what parse src =
+  match Json.of_string src with
+  | exception Json.Parse_error msg -> Error msg
+  | j -> (
+    match Json.member "schema" j with
+    | Some (Json.String s) when s = schema -> (
+      match Json.member key j with
+      | Some (Json.List items) ->
+        let parsed = List.map parse items in
+        if List.for_all Option.is_some parsed then
+          Ok (List.filter_map Fun.id parsed)
+        else Error ("malformed " ^ what ^ " entry")
+      | _ -> Error (Printf.sprintf "missing %s array" key))
+    | Some (Json.String s) -> Error (Printf.sprintf "unknown schema %S" s)
+    | _ -> Error "missing schema")
 
 (* --- findings ------------------------------------------------------ *)
 
 let findings_schema = "lint_findings/1"
 
-let finding_to_json_buf b f =
-  Printf.bprintf b
-    "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"message\":\"%s\"}"
-    (json_escape f.file) f.line f.col (json_escape f.rule)
-    (json_escape f.message)
-
 let findings_to_json findings =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\"schema\":\"%s\",\"count\":%d,\"findings\":["
-    findings_schema (List.length findings);
-  List.iteri
-    (fun i f ->
-      Buffer.add_string b (if i > 0 then ",\n  " else "\n  ");
-      finding_to_json_buf b f)
-    findings;
-  if findings <> [] then Buffer.add_char b '\n';
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  json_lines
+    [
+      ("schema", Json.String findings_schema);
+      ("count", Json.Int (List.length findings));
+    ]
+    "findings"
+    (List.map
+       (fun f ->
+         Json.Obj
+           [
+             ("file", Json.String f.file);
+             ("line", Json.Int f.line);
+             ("col", Json.Int f.col);
+             ("rule", Json.String f.rule);
+             ("message", Json.String f.message);
+           ])
+       findings)
 
 let finding_of_json j =
+  let field k = Json.member k j in
   match
-    ( Option.bind (jget j "file") jstr,
-      Option.bind (jget j "line") jint,
-      Option.bind (jget j "col") jint,
-      Option.bind (jget j "rule") jstr,
-      Option.bind (jget j "message") jstr )
+    ( jstr (field "file"),
+      jint (field "line"),
+      jint (field "col"),
+      jstr (field "rule"),
+      jstr (field "message") )
   with
   | Some file, Some line, Some col, Some rule, Some message ->
     Some { file; line; col; rule; message }
   | _ -> None
 
-let findings_of_json src =
-  match json_parse src with
-  | exception Json_error msg -> Error msg
-  | j -> (
-    match jget j "schema" with
-    | Some (Jstr s) when s = findings_schema -> (
-      match jget j "findings" with
-      | Some (Jlist items) -> (
-        let parsed = List.map finding_of_json items in
-        if List.for_all Option.is_some parsed then
-          Ok (List.filter_map Fun.id parsed)
-        else Error "malformed finding entry")
-      | _ -> Error "missing findings array")
-    | Some (Jstr s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing schema")
+let findings_of_json =
+  json_doc_of_string ~schema:findings_schema ~key:"findings" ~what:"finding"
+    finding_of_json
 
 (* --- baseline ------------------------------------------------------ *)
 
@@ -1623,46 +1475,33 @@ let baseline_of_findings findings =
   |> List.sort compare
 
 let baseline_to_json entries =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\"schema\":\"%s\",\"entries\":[" baseline_schema;
-  List.iteri
-    (fun i e ->
-      Buffer.add_string b (if i > 0 then ",\n  " else "\n  ");
-      Printf.bprintf b
-        "{\"file\":\"%s\",\"rule\":\"%s\",\"message\":\"%s\",\"count\":%d}"
-        (json_escape e.be_file) (json_escape e.be_rule)
-        (json_escape e.be_message) e.be_count)
-    entries;
-  if entries <> [] then Buffer.add_char b '\n';
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  json_lines
+    [ ("schema", Json.String baseline_schema) ]
+    "entries"
+    (List.map
+       (fun e ->
+         Json.Obj
+           [
+             ("file", Json.String e.be_file);
+             ("rule", Json.String e.be_rule);
+             ("message", Json.String e.be_message);
+             ("count", Json.Int e.be_count);
+           ])
+       entries)
 
-let baseline_of_json src =
-  match json_parse src with
-  | exception Json_error msg -> Error msg
-  | j -> (
-    match jget j "schema" with
-    | Some (Jstr s) when s = baseline_schema -> (
-      match jget j "entries" with
-      | Some (Jlist items) ->
-        let parse_entry e =
-          match
-            ( Option.bind (jget e "file") jstr,
-              Option.bind (jget e "rule") jstr,
-              Option.bind (jget e "message") jstr,
-              Option.bind (jget e "count") jint )
-          with
-          | Some be_file, Some be_rule, Some be_message, Some be_count ->
-            Some { be_file; be_rule; be_message; be_count }
-          | _ -> None
-        in
-        let parsed = List.map parse_entry items in
-        if List.for_all Option.is_some parsed then
-          Ok (List.filter_map Fun.id parsed)
-        else Error "malformed baseline entry"
-      | _ -> Error "missing entries array")
-    | Some (Jstr s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing schema")
+let baseline_of_json =
+  json_doc_of_string ~schema:baseline_schema ~key:"entries" ~what:"baseline"
+    (fun e ->
+      let field k = Json.member k e in
+      match
+        ( jstr (field "file"),
+          jstr (field "rule"),
+          jstr (field "message"),
+          jint (field "count") )
+      with
+      | Some be_file, Some be_rule, Some be_message, Some be_count ->
+        Some { be_file; be_rule; be_message; be_count }
+      | _ -> None)
 
 (* The ratchet: findings beyond each key's baselined count are new
    (gate fails); baseline entries whose key now fires fewer times are

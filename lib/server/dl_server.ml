@@ -6,8 +6,8 @@
    multiplexed over a single [Unix.select].  Nothing on this path is
    synchronised because nothing is shared; the only cross-domain edges are
    the self-pipe ([stop]), the resident pool (driven only from the server
-   domain), and a mutex-protected registration handshake with the
-   telemetry gauge registry whose reads are racy-but-defined plain loads.
+   domain), and the [dl_server] telemetry gauge group, whose provider
+   makes racy-but-defined plain loads of this state's fields.
 
    Phases: ingest is *admitted* on the server domain (validated, appended
    to the fact store, acknowledged) and *applied* in batched writer phases
@@ -121,49 +121,6 @@ type state = {
 }
 
 (* --------------------------------------------------------------- *)
-(* Gauge registry handshake (the only cross-domain shared state)    *)
-(* --------------------------------------------------------------- *)
-
-(* [register_gauges] appends, so register once and route through a slot
-   holding the current server; the provider's field reads are racy
-   plain loads of ints, the documented gauge contract. *)
-let gauge_mutex = Mutex.create ()
-let gauge_slot : state option ref = ref None
-let gauges_registered = ref false
-
-let read_gauge_slot () = Mutex.protect gauge_mutex (fun () -> !gauge_slot)
-
-let install_gauges st =
-  Mutex.protect gauge_mutex (fun () ->
-      gauge_slot := Some st;
-      if not !gauges_registered then begin
-        gauges_registered := true;
-        Telemetry_server.register_gauges "dl_server" (fun () ->
-            match read_gauge_slot () with
-            | None -> []
-            | Some st ->
-              [
-                ("pending_ingest", float_of_int st.s_pending);
-                ("reserved_ingest", float_of_int st.s_reserved);
-                ("queued_queries", float_of_int (Queue.length st.s_queries));
-                ("clients", float_of_int (Hashtbl.length st.s_conns));
-                ("generation", float_of_int st.s_gen_seq);
-                ("flips", float_of_int st.s_flips);
-                ("busy_rejections", float_of_int st.s_busy);
-                ("phase_violations", float_of_int st.s_phase_violations);
-              ])
-      end)
-
-(* Two servers may coexist (the slot routes to whichever registered
-   last); only clear it if it still points at the state being cleaned
-   up, so stopping one server cannot disable the survivor's gauges. *)
-let clear_gauges st =
-  Mutex.protect gauge_mutex (fun () ->
-      match !gauge_slot with
-      | Some cur when cur == st -> gauge_slot := None
-      | _ -> ())
-
-(* --------------------------------------------------------------- *)
 (* Session plumbing                                                 *)
 (* --------------------------------------------------------------- *)
 
@@ -212,7 +169,6 @@ let respond st c resp =
 
 let reject_busy st c msg =
   st.s_busy <- st.s_busy + 1;
-  Telemetry.bump Telemetry.Counter.Server_busy_rejections;
   respond st c (Dl_proto.R_err (Dl_proto.E_busy, msg))
 
 (* --------------------------------------------------------------- *)
@@ -317,7 +273,6 @@ let[@lint.dispatch
       st.s_flips <- st.s_flips + 1;
       st.s_flip_failures <- 0;
       st.s_retry_at <- 0;
-      Telemetry.bump Telemetry.Counter.Server_phase_flips;
       Telemetry.hist_record Telemetry.Hist.Server_flip_ns (now - t0);
       List.iter
         (fun a -> Telemetry.hist_record Telemetry.Hist.Server_ingest_ns (now - a))
@@ -485,55 +440,69 @@ let[@lint.dispatch
 (* Request handling                                                 *)
 (* --------------------------------------------------------------- *)
 
-let stats_response st =
-  let lines =
-    [
-      "proto=" ^ Dl_proto.version;
-      Printf.sprintf "program=%s"
-        (match st.s_program with Some _ -> "installed" | None -> "none");
-      Printf.sprintf "generation=%d" st.s_gen_seq;
-      Printf.sprintf "stale=%b" st.s_stale;
-      Printf.sprintf "pending_ingest=%d" st.s_pending;
-      Printf.sprintf "reserved_ingest=%d" st.s_reserved;
-      Printf.sprintf "queued_queries=%d" (Queue.length st.s_queries);
-      Printf.sprintf "clients=%d" (Hashtbl.length st.s_conns);
-      Printf.sprintf "conns_total=%d" st.s_conn_total;
-      Printf.sprintf "requests=%d" st.s_requests;
-      Printf.sprintf "busy_rejections=%d" st.s_busy;
-      Printf.sprintf "flips=%d" st.s_flips;
-      Printf.sprintf "flip_failures=%d" st.s_flip_failures;
-      Printf.sprintf "phase_violations=%d" st.s_phase_violations;
-      Printf.sprintf "workers=%d" (Pool.size st.s_pool);
-      Printf.sprintf "storage=%s" (Storage.kind_name st.s_cfg.kind);
-    ]
-  in
-  let wal_lines =
-    match st.s_wal with
-    | None -> [ "durability=off" ]
+(* One STATS field.  The integer fields double as the [dl_server]
+   telemetry gauge group, so STATS and every telemetry surface report the
+   same numbers. *)
+type stat = I of int | B of bool | S of string
+
+(* Every STATS field but the [rel.*] cardinals, in STATS order.  Plain
+   field reads only: the gauge provider runs this on whichever domain
+   takes a telemetry snapshot, while the server may be mid-phase. *)
+let stat_fields st =
+  [
+    ("proto", S Dl_proto.version);
+    ("program", S (if Option.is_none st.s_program then "none" else "installed"));
+    ("generation", I st.s_gen_seq);
+    ("stale", B st.s_stale);
+    ("pending_ingest", I st.s_pending);
+    ("reserved_ingest", I st.s_reserved);
+    ("queued_queries", I (Queue.length st.s_queries));
+    ("clients", I (Hashtbl.length st.s_conns));
+    ("conns_total", I st.s_conn_total);
+    ("requests", I st.s_requests);
+    ("busy_rejections", I st.s_busy);
+    ("flips", I st.s_flips);
+    ("flip_failures", I st.s_flip_failures);
+    ("phase_violations", I st.s_phase_violations);
+    ("workers", I (Pool.size st.s_pool));
+    ("storage", S (Storage.kind_name st.s_cfg.kind));
+  ]
+  @ (match st.s_wal with
+    | None -> [ ("durability", S "off") ]
     | Some w ->
       [
-        "durability=" ^ Wal.durability_name (Wal.durability w);
-        "wal_dir=" ^ Wal.dir w;
-        Printf.sprintf "wal_segments=%d" (Wal.segments w);
-        Printf.sprintf "wal_records=%d" (Wal.records w);
-        Printf.sprintf "wal_bytes=%d" (Wal.appended_bytes w);
-        Printf.sprintf "wal_fsyncs=%d" (Wal.fsyncs w);
-        Printf.sprintf "wal_compactions=%d" (Wal.compactions w);
-        Printf.sprintf "wal_errors=%d" st.s_wal_errors;
-        Printf.sprintf "wal_torn=%b" (Wal.torn w);
-      ]
-      @ (match st.s_recovery with
-        | None -> []
-        | Some rv ->
-          [
-            Printf.sprintf "recovered_records=%d" rv.Wal.rv_records;
-            Printf.sprintf "recovered_segments=%d" rv.Wal.rv_segments;
-            Printf.sprintf "recovered_bytes=%d" rv.Wal.rv_bytes;
-            Printf.sprintf "recovered_commit_seq=%d" rv.Wal.rv_committed_seq;
-            Printf.sprintf "recovered_torn_tail=%b" rv.Wal.rv_torn_tail;
-          ])
+        ("durability", S (Wal.durability_name (Wal.durability w)));
+        ("wal_dir", S (Wal.dir w));
+        ("wal_segments", I (Wal.segments w));
+        ("wal_records", I (Wal.records w));
+        ("wal_bytes", I (Wal.appended_bytes w));
+        ("wal_fsyncs", I (Wal.fsyncs w));
+        ("wal_compactions", I (Wal.compactions w));
+        ("wal_errors", I st.s_wal_errors);
+        ("wal_torn", B (Wal.torn w));
+      ])
+  @ (match st.s_recovery with
+    | None -> []
+    | Some rv ->
+      [
+        ("recovered_records", I rv.Wal.rv_records);
+        ("recovered_segments", I rv.Wal.rv_segments);
+        ("recovered_bytes", I rv.Wal.rv_bytes);
+        ("recovered_commit_seq", I rv.Wal.rv_committed_seq);
+        ("recovered_torn_tail", B rv.Wal.rv_torn_tail);
+      ])
+
+let gauges st () =
+  List.filter_map
+    (function k, I n -> Some (k, float_of_int n) | _ -> None)
+    (stat_fields st)
+
+let stats_response st =
+  let render = function
+    | I n -> string_of_int n
+    | B b -> string_of_bool b
+    | S s -> s
   in
-  let lines = lines @ wal_lines in
   let rels =
     match st.s_gen with
     | None -> []
@@ -545,7 +514,9 @@ let stats_response st =
             (Relation.cardinal (Engine.relation gen r)))
         (Engine.relations gen)
   in
-  Dl_proto.R_data ("server stats", lines @ rels)
+  Dl_proto.R_data
+    ( "server stats",
+      List.map (fun (k, v) -> k ^ "=" ^ render v) (stat_fields st) @ rels )
 
 (* [t0] is the admission stamp of the ingest request; the flip records
    admission-to-applied latency from it. *)
@@ -711,7 +682,6 @@ let check_ingest st rel n =
 
 let handle_request st c line =
   st.s_requests <- st.s_requests + 1;
-  Telemetry.bump Telemetry.Counter.Server_requests;
   if st.s_shutting_down then
     respond st c (Dl_proto.R_err (Dl_proto.E_shutdown, "server is draining"))
   else
@@ -758,10 +728,7 @@ let handle_request st c line =
           st.s_reserved <- st.s_reserved + n;
           (`Load (rel, arity), None, n)
         | Error (code, msg) ->
-          if code = Dl_proto.E_busy then begin
-            st.s_busy <- st.s_busy + 1;
-            Telemetry.bump Telemetry.Counter.Server_busy_rejections
-          end;
+          if code = Dl_proto.E_busy then st.s_busy <- st.s_busy + 1;
           (`Load (rel, -1), Some (code, msg), 0)
       in
       let p =
@@ -907,7 +874,6 @@ let[@lint.dispatch
          refuse "ERR shutdown server is draining\n"
        else if Hashtbl.length st.s_conns >= st.s_cfg.max_clients then begin
          st.s_busy <- st.s_busy + 1;
-         Telemetry.bump Telemetry.Counter.Server_busy_rejections;
          refuse "ERR busy too many clients\n"
        end
        else begin
@@ -925,7 +891,6 @@ let[@lint.dispatch
          in
          Hashtbl.replace st.s_conns fd c;
          st.s_conn_total <- st.s_conn_total + 1;
-         Telemetry.bump Telemetry.Counter.Server_conns;
          Queue.add (Dl_proto.greeting ^ "\n") c.c_outq;
          flush_conn st c
        end);
@@ -1020,7 +985,6 @@ let server_cleanup st unlink_path =
      the graceful-shutdown path (SHUTDOWN verb, SIGTERM/SIGINT via
      [signal_stop]) leaves a clean, immediately recoverable log *)
   (match st.s_wal with Some w -> Wal.close w | None -> ());
-  clear_gauges st;
   Pool.shutdown st.s_pool
 
 (* --------------------------------------------------------------- *)
@@ -1217,11 +1181,15 @@ let start cfg =
         Pool.shutdown pool;
         Error ("datalog server: wal replay: " ^ msg)
       | Ok () ->
+        (* registered here, not on the server domain, so the last server
+           started owns the group whatever order the domains run in *)
+        let unregister = Telemetry.register_gauges "dl_server" (gauges st) in
         let dom =
           Domain.spawn (fun () ->
-              install_gauges st;
               Fun.protect
-                ~finally:(fun () -> server_cleanup st unlink_path)
+                ~finally:(fun () ->
+                  unregister ();
+                  server_cleanup st unlink_path)
                 (fun () -> server_loop st))
         in
         Ok

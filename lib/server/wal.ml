@@ -335,8 +335,7 @@ let recover_dir dir =
             (* a torn write is exactly what a crash mid-append leaves;
                keep the valid prefix, physically cut the tail off *)
             truncate_file path (max off 0);
-            torn := true;
-            Telemetry.bump Telemetry.Counter.Wal_torn_tails
+            torn := true
           end
           else
             raise
@@ -352,7 +351,6 @@ let recover_dir dir =
           match e with Commit s | Anchor s -> max acc s | _ -> acc)
         0 !entries
     in
-    Telemetry.add Telemetry.Counter.Wal_replayed_records !records;
     Ok
       {
         rv_entries = List.rev !entries;
@@ -387,7 +385,6 @@ let create_segment dir seq =
   | exception e ->
     (try Unix.close fd with _ -> ());
     raise e);
-  Telemetry.bump Telemetry.Counter.Wal_segments;
   fd
 
 let open_dir ?(segment_bytes = 8 * 1024 * 1024) ?(compact_segments = 4)
@@ -462,7 +459,6 @@ let sync_now t =
       let t0 = Telemetry.hist_time () in
       Unix.fsync t.w_fd;
       t.w_fsyncs <- t.w_fsyncs + 1;
-      Telemetry.bump Telemetry.Counter.Wal_fsyncs;
       if t0 > 0 then
         Telemetry.hist_record Telemetry.Hist.Wal_fsync_ns
           (Telemetry.now_ns () - t0)
@@ -539,8 +535,6 @@ let append t e =
           t.w_seg_bytes <- t.w_seg_bytes + len;
           t.w_records <- t.w_records + 1;
           t.w_bytes <- t.w_bytes + len;
-          Telemetry.bump Telemetry.Counter.Wal_records;
-          Telemetry.add Telemetry.Counter.Wal_bytes len;
           match (t.w_durability, e) with
           | D_strict, _ -> (
             match sync_now t with
@@ -555,9 +549,7 @@ let append t e =
               | () ->
                 t.w_seg_bytes <- t.w_seg_bytes - len;
                 t.w_records <- t.w_records - 1;
-                t.w_bytes <- t.w_bytes - len;
-                Telemetry.add Telemetry.Counter.Wal_records (-1);
-                Telemetry.add Telemetry.Counter.Wal_bytes (-len)
+                t.w_bytes <- t.w_bytes - len
               | exception _ -> t.w_torn <- true);
               err)
           | D_batch, Commit _ -> sync_now t
@@ -617,9 +609,7 @@ let compact t ?program ~seq facts =
       t.w_seg_bytes <- !size;
       t.w_segments <- 1;
       t.w_torn <- false;
-      t.w_compactions <- t.w_compactions + 1;
-      Telemetry.bump Telemetry.Counter.Wal_segments;
-      Telemetry.bump Telemetry.Counter.Wal_compactions
+      t.w_compactions <- t.w_compactions + 1
     with
     | () -> Ok ()
     | exception e ->

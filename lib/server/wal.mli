@@ -27,8 +27,8 @@
     every checksum and {b truncates a torn tail instead of failing}: a
     short or corrupt record in the {e final} segment is what a crash
     mid-append leaves behind, so the valid prefix is kept and the tail
-    is physically cut off (counted in [rv_torn_tail] and the
-    [server.wal.torn_tails] telemetry counter).  A corrupt record
+    is physically cut off (flagged in [rv_torn_tail], which the server's
+    STATS reports as [recovered_torn_tail]).  A corrupt record
     anywhere {e else} cannot be explained by a torn write and yields a
     structured error naming the segment and byte offset — the caller
     must refuse to serve rather than silently lose acked data.

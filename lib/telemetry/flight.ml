@@ -290,6 +290,7 @@ let schema_version = 1
 let to_json ?(extra = []) ~reason ~seed () =
   let rs = Mutex.protect rings_mutex (fun () -> !rings) in
   let rs = List.sort (fun a b -> compare a.r_domain b.r_domain) rs in
+  let snap = Telemetry.snapshot () in
   let domain_json r =
     let cap = Array.length r.r_slots / stride in
     Telemetry.Json.Obj
@@ -319,7 +320,8 @@ let to_json ?(extra = []) ~reason ~seed () =
        ("seed", Telemetry.Json.Int seed);
        ("now_ns", Telemetry.Json.Int (Telemetry.now_ns ()));
        ("capacity", Telemetry.Json.Int !ring_capacity);
-       ("counters", Telemetry.counters_json (Telemetry.snapshot ()));
+       ("counters", Telemetry.counters_json snap);
+       ("gauges", Telemetry.gauges_json snap.Telemetry.gauges);
        ("domains", Telemetry.Json.List (List.map domain_json rs));
      ]
     @ extra)

@@ -111,8 +111,9 @@ val to_json :
   seed:int ->
   unit ->
   Telemetry.Json.t
-(** The crash-dump document: schema marker, reason, seed, a counter
-    snapshot, and per-domain event arrays (oldest-first, with dropped
+(** The crash-dump document: schema marker, reason, seed, the counters
+    and registered gauges of one {!Telemetry.snapshot}, and per-domain
+    event arrays (oldest-first, with dropped
     counts).  [extra] fields are appended to the top-level object. *)
 
 val write_crashdump :

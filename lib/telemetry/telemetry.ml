@@ -27,242 +27,7 @@
 
 external now_ns : unit -> int = "repro_telemetry_now_ns" [@@noalloc]
 
-(* ------------------------------------------------------------------ *)
-(* JSON (emitter + parser)                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | String of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let buffer_add_escaped buf s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
-
-  let rec to_buffer buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else if Float.is_finite f then
-        Buffer.add_string buf (Printf.sprintf "%.17g" f)
-      else Buffer.add_string buf "null"
-    | String s ->
-      Buffer.add_char buf '"';
-      buffer_add_escaped buf s;
-      Buffer.add_char buf '"'
-    | List l ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          to_buffer buf x)
-        l;
-      Buffer.add_char buf ']'
-    | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          buffer_add_escaped buf k;
-          Buffer.add_string buf "\":";
-          to_buffer buf v)
-        kvs;
-      Buffer.add_char buf '}'
-
-  let to_string j =
-    let buf = Buffer.create 256 in
-    to_buffer buf j;
-    Buffer.contents buf
-
-  let output oc j = output_string oc (to_string j)
-
-  exception Parse_error of string
-
-  (* Recursive-descent parser, sufficient for trace/metrics round-trips in
-     tests and the CI smoke check (no external JSON dependency available). *)
-  let of_string s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let literal word v =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        v
-      end
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          let c = s.[!pos] in
-          advance ();
-          match c with
-          | '"' -> Buffer.contents buf
-          | '\\' -> (
-            if !pos >= n then fail "unterminated escape";
-            let e = s.[!pos] in
-            advance ();
-            match e with
-            | '"' | '\\' | '/' ->
-              Buffer.add_char buf e;
-              go ()
-            | 'n' ->
-              Buffer.add_char buf '\n';
-              go ()
-            | 't' ->
-              Buffer.add_char buf '\t';
-              go ()
-            | 'r' ->
-              Buffer.add_char buf '\r';
-              go ()
-            | 'b' ->
-              Buffer.add_char buf '\b';
-              go ()
-            | 'f' ->
-              Buffer.add_char buf '\012';
-              go ()
-            | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              (* non-ASCII escapes round-trip as '?' — enough for traces,
-                 which only contain ASCII names *)
-              Buffer.add_char buf (if code < 128 then Char.chr code else '?');
-              go ()
-            | _ -> fail "bad escape")
-          | c ->
-            Buffer.add_char buf c;
-            go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char s.[!pos] do
-        advance ()
-      done;
-      let tok = String.sub s start (!pos - start) in
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail "bad number")
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> String (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              items (v :: acc)
-            | Some ']' ->
-              advance ();
-              List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-        end
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-      | Some _ -> parse_number ()
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member k = function
-    | Obj kvs -> List.assoc_opt k kvs
-    | _ -> None
-end
+module Json = Json
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                           *)
@@ -299,19 +64,6 @@ module Counter = struct
     | Eval_delta_tuples
     (* fact IO (lib/datalog Dl_io) *)
     | Io_malformed_lines
-    (* query/ingest server (lib/server Dl_server) *)
-    | Server_requests
-    | Server_busy_rejections
-    | Server_phase_flips
-    | Server_conns
-    (* write-ahead log (lib/server Wal) *)
-    | Wal_bytes
-    | Wal_records
-    | Wal_fsyncs
-    | Wal_segments
-    | Wal_compactions
-    | Wal_torn_tails
-    | Wal_replayed_records
 
   let all =
     [
@@ -321,10 +73,7 @@ module Counter = struct
       Btree_root_splits; Btree_hint_hits; Btree_hint_misses; Btree_batch_keys;
       Btree_batch_leaves; Btree_batch_splices; Pool_jobs; Pool_busy_ns;
       Pool_wall_ns; Pool_watchdog_trips; Eval_iterations; Eval_rule_evals;
-      Eval_delta_tuples; Io_malformed_lines; Server_requests;
-      Server_busy_rejections; Server_phase_flips; Server_conns; Wal_bytes;
-      Wal_records; Wal_fsyncs; Wal_segments; Wal_compactions; Wal_torn_tails;
-      Wal_replayed_records;
+      Eval_delta_tuples; Io_malformed_lines;
     ]
 
   let index = function
@@ -351,17 +100,6 @@ module Counter = struct
     | Eval_rule_evals -> 20
     | Eval_delta_tuples -> 21
     | Io_malformed_lines -> 22
-    | Server_requests -> 23
-    | Server_busy_rejections -> 24
-    | Server_phase_flips -> 25
-    | Server_conns -> 26
-    | Wal_bytes -> 27
-    | Wal_records -> 28
-    | Wal_fsyncs -> 29
-    | Wal_segments -> 30
-    | Wal_compactions -> 31
-    | Wal_torn_tails -> 32
-    | Wal_replayed_records -> 33
 
   let count = List.length all
 
@@ -389,17 +127,6 @@ module Counter = struct
     | Eval_rule_evals -> "eval.rule_evals"
     | Eval_delta_tuples -> "eval.delta_tuples"
     | Io_malformed_lines -> "io.malformed_lines"
-    | Server_requests -> "server.requests"
-    | Server_busy_rejections -> "server.busy_rejections"
-    | Server_phase_flips -> "server.phase_flips"
-    | Server_conns -> "server.conns"
-    | Wal_bytes -> "server.wal.bytes"
-    | Wal_records -> "server.wal.records"
-    | Wal_fsyncs -> "server.wal.fsyncs"
-    | Wal_segments -> "server.wal.segments"
-    | Wal_compactions -> "server.wal.compactions"
-    | Wal_torn_tails -> "server.wal.torn_tails"
-    | Wal_replayed_records -> "server.wal.replayed_records"
 
   (* Unit metadata: most counters are event counts, but the pool time
      accumulators are nanosecond totals.  Exporters use this to render
@@ -439,22 +166,6 @@ module Counter = struct
     | Eval_rule_evals -> "Rule-version evaluations."
     | Eval_delta_tuples -> "Tuples promoted from new into full relations."
     | Io_malformed_lines -> "Corrupt fact lines skipped by the lenient loader."
-    | Server_requests -> "Protocol requests admitted by the query server."
-    | Server_busy_rejections ->
-      "Requests rejected with a BUSY response (backpressure or chaos drill)."
-    | Server_phase_flips ->
-      "Writer-phase flips (engine generation rebuilds) performed by the server."
-    | Server_conns -> "Client connections accepted by the query server."
-    | Wal_bytes -> "Bytes appended to the write-ahead log."
-    | Wal_records -> "Records appended to the write-ahead log."
-    | Wal_fsyncs -> "fsync calls issued by the write-ahead log."
-    | Wal_segments -> "Write-ahead log segment files created (incl. rotation)."
-    | Wal_compactions ->
-      "Snapshot compactions: fact store rewritten as a snapshot segment."
-    | Wal_torn_tails ->
-      "Torn tails silently truncated during write-ahead log recovery."
-    | Wal_replayed_records ->
-      "Write-ahead log records replayed during recovery."
 end
 
 (* ------------------------------------------------------------------ *)
@@ -806,6 +517,34 @@ let counter_sample ?cat name value =
     emit ?cat ~args:[ (name, A_int value) ] ~ph:'C' ~ts:(now_ns ()) ~dur:0 name
 
 (* ------------------------------------------------------------------ *)
+(* Gauges                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Gauge groups, in registration order.  A group name has at most one
+   provider: registering it again replaces the old one, and the old
+   provider's unregister (which matches its own entry physically) then
+   finds nothing to remove. *)
+let gauge_mutex = Mutex.create ()
+let gauge_groups : (string * (unit -> (string * float) list)) list ref = ref []
+
+let register_gauges group f =
+  let entry = (group, f) in
+  Mutex.protect gauge_mutex (fun () ->
+      gauge_groups :=
+        List.filter (fun (g, _) -> g <> group) !gauge_groups @ [ entry ]);
+  fun () ->
+    Mutex.protect gauge_mutex (fun () ->
+        gauge_groups := List.filter (fun e -> e != entry) !gauge_groups)
+
+let sample_gauges () =
+  List.concat_map
+    (fun (group, f) ->
+      match f () with
+      | pairs -> List.map (fun (n, v) -> (group ^ "." ^ n, v)) pairs
+      | exception _ -> [])
+    (Mutex.protect gauge_mutex (fun () -> !gauge_groups))
+
+(* ------------------------------------------------------------------ *)
 (* Snapshots                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -820,6 +559,7 @@ type snapshot = {
   per_domain : (int * int array) list; (* domain id, per-counter counts *)
   totals : int array;
   hists : hist array; (* indexed by [Hist.index] *)
+  gauges : (string * float) list; (* "group.name", registration order *)
 }
 
 let snapshot () =
@@ -864,7 +604,7 @@ let snapshot () =
           h_max = hmax.(i);
         })
   in
-  { per_domain; totals; hists }
+  { per_domain; totals; hists; gauges = sample_gauges () }
 
 let get s c = s.totals.(Counter.index c)
 
@@ -993,6 +733,8 @@ let counters_json s =
         ("btree.hint_hit_rate", Json.Float (hint_hit_rate s));
         ("pool.utilisation", Json.Float (imbalance s));
       ])
+
+let gauges_json gs = Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) gs)
 
 let histograms_json s =
   Json.Obj
@@ -1123,6 +865,11 @@ let prometheus_of_snapshot ?(prefix = "repro") prom s =
   Prom.gauge prom
     ~help:"Summed worker busy time over summed job wall time (1.0 = balanced)."
     (base "pool.utilisation") (imbalance s);
+  List.iter
+    (fun (n, v) ->
+      Prom.gauge prom ~help:"Registered gauge provider value."
+        ~labels:[ ("gauge", n) ] (prefix ^ "_gauge") v)
+    s.gauges;
   List.iter
     (fun m ->
       let h = hist_of s m in

@@ -19,29 +19,9 @@ val now_ns : unit -> int
 (** Monotonic clock (CLOCK_MONOTONIC), in nanoseconds from an arbitrary
     epoch.  Allocation-free. *)
 
-(** Minimal JSON document type with emitter and parser — enough for trace
-    files, bench metrics, and parse-back validation in tests and CI
-    (no external JSON library is available in this environment). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | String of string
-    | List of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-  val output : out_channel -> t -> unit
-
-  exception Parse_error of string
-
-  val of_string : string -> t
-  (** @raise Parse_error on malformed input. *)
-
-  val member : string -> t -> t option
-end
+module Json = Json
+(** The repository's JSON codec (lib/json), re-exported for telemetry
+    clients. *)
 
 (** Counter identities, one flat namespace across the instrumented layers.
     See the Observability section of DESIGN.md for exact semantics of
@@ -95,26 +75,6 @@ module Counter : sig
     | Io_malformed_lines
         (** corrupt/truncated fact lines skipped by [Dl_io]'s lenient
             loader *)
-    | Server_requests  (** protocol requests admitted by the query server *)
-    | Server_busy_rejections
-        (** requests rejected with a 503-style BUSY response (admission
-            backpressure or a chaos drill) *)
-    | Server_phase_flips
-        (** writer-phase flips: engine generation rebuilds performed by the
-            server's admission scheduler *)
-    | Server_conns  (** client connections accepted by the query server *)
-    | Wal_bytes  (** bytes appended to the write-ahead log *)
-    | Wal_records  (** records appended to the write-ahead log *)
-    | Wal_fsyncs  (** fsync calls issued by the write-ahead log *)
-    | Wal_segments
-        (** WAL segment files created (initial open plus rotations) *)
-    | Wal_compactions
-        (** snapshot compactions: fact store rewritten as a snapshot
-            segment, older segments truncated *)
-    | Wal_torn_tails
-        (** torn tails silently truncated during WAL recovery — a crash
-            mid-append leaves one, and recovery discards it by design *)
-    | Wal_replayed_records  (** WAL records replayed during recovery *)
 
   val all : t list
   val index : t -> int
@@ -269,6 +229,24 @@ val instant :
 val counter_sample : ?cat:string -> string -> int -> unit
 (** Record a timeline counter sample ("C" event) for Perfetto graphs. *)
 
+(** {1 Gauges}
+
+    Point-in-time values owned by some other component (a server's
+    request count, a WAL's byte count), sampled into every {!snapshot}
+    beside the counters and histograms, so each exporter renders them
+    from one place. *)
+
+val register_gauges :
+  string -> (unit -> (string * float) list) -> (unit -> unit)
+(** [register_gauges group f] makes [f] the provider of gauge group
+    [group], replacing any earlier provider of that group; each
+    [(name, v)] it returns is reported as ["group.name"].  [f] runs in
+    every {!snapshot}, on whichever domain takes it and while writers may
+    be live, so it must only perform racy-but-defined reads of plain
+    fields — never traverse shared structures.  A provider that raises
+    is left out of that snapshot.  The result unregisters this provider;
+    it does nothing once a later registration has replaced the group. *)
+
 (** {1 Aggregation} *)
 
 type hist = {
@@ -284,6 +262,9 @@ type snapshot = {
           omitted, sorted by domain id *)
   totals : int array;
   hists : hist array;  (** indexed by {!Hist.index} *)
+  gauges : (string * float) list;
+      (** every registered gauge group, sampled when the snapshot was
+          taken, as [("group.name", value)] in registration order *)
 }
 
 val snapshot : unit -> snapshot
@@ -324,6 +305,9 @@ val counters_json : snapshot -> Json.t
 (** Counters as a flat object; nanosecond counters appear in seconds under
     an ["_s"]-suffixed name (e.g. ["pool.busy_s"]). *)
 
+val gauges_json : (string * float) list -> Json.t
+(** Sampled gauges ({!snapshot.gauges}) as a flat object of floats. *)
+
 val histograms_json : snapshot -> Json.t
 (** Non-empty histograms as an object keyed by {!Hist.name}: count,
     sample_period, sum/mean/p50/p90/p99/max (ns), and the nonzero buckets
@@ -355,4 +339,5 @@ val prometheus_of_snapshot : ?prefix:string -> Prom.t -> snapshot -> unit
     [<prefix>_<name>_total] (nanosecond counters as [_seconds_total] in
     seconds), derived gauges, and each non-empty histogram as a Prometheus
     histogram (cumulative [le] buckets, [_sum], [_count]) plus
-    [_p50]/[_p90]/[_p99]/[_max] gauges.  Default prefix ["repro"]. *)
+    [_p50]/[_p90]/[_p99]/[_max] gauges, and every registered gauge as
+    [<prefix>_gauge{gauge="group.name"}].  Default prefix ["repro"]. *)

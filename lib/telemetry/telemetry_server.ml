@@ -6,7 +6,7 @@
    a record created inside the spawned domain and never escapes it.  The
    request handler runs on the same domain, so serving needs no
    synchronization either.  The only shared state is (a) the mutex-protected
-   provider/probe registry, written on cold registration paths, and (b) the
+   chaos probe, written on cold registration paths, and (b) the
    Health atomics, bumped from the pool's cold join paths and read racily by
    the monitor. *)
 
@@ -55,14 +55,8 @@ let resolve_host h =
 (* ------------------------------------------------------------------ *)
 
 let ext_mutex = Mutex.create ()
-let providers : (string * (unit -> (string * float) list)) list ref = ref []
 let chaos_probe : (unit -> bool * int) option ref = ref None
-
-let register_gauges group f =
-  Mutex.protect ext_mutex (fun () -> providers := (group, f) :: !providers)
-
 let set_chaos_probe p = Mutex.protect ext_mutex (fun () -> chaos_probe := p)
-let get_providers () = Mutex.protect ext_mutex (fun () -> !providers)
 let get_chaos_probe () = Mutex.protect ext_mutex (fun () -> !chaos_probe)
 
 module Health = struct
@@ -171,14 +165,6 @@ let heat_of_events ~lo ~hi evs =
   Hashtbl.fold (fun level row acc -> (level, row) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let sample_gauges () =
-  List.concat_map
-    (fun (group, f) ->
-      match f () with
-      | pairs -> List.map (fun (n, v) -> (group ^ "." ^ n, v)) pairs
-      | exception _ -> [])
-    (get_providers ())
-
 (* ------------------------------------------------------------------ *)
 (* Monitor state (domain-confined: created and mutated only on the     *)
 (* monitor domain)                                                     *)
@@ -234,7 +220,7 @@ let sample st now =
       w_end_ns = now;
       w_deltas = deltas;
       w_hists = hists;
-      w_gauges = sample_gauges ();
+      w_gauges = snap.Telemetry.gauges;
       w_heat = heat;
       w_flight_events = clamp0 (flight_total - st.m_prev_flight);
       w_watchdog = clamp0 (watchdog - st.m_prev_watchdog);
@@ -382,8 +368,7 @@ let window_json w =
       ("rates", Json.Obj (List.rev rates));
       ("deltas", Json.Obj (List.rev deltas));
       ("histograms", Json.Obj hists);
-      ( "gauges",
-        Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) w.w_gauges) );
+      ("gauges", gauges_json w.w_gauges);
       ("heat", heat_json w.w_heat);
       ("flight_events", Json.Int w.w_flight_events);
       ( "health",
@@ -557,11 +542,6 @@ let metrics_body st =
             "repro_window_max_ns" (float_of_int h.h_max)
         end)
       Hist.all;
-    List.iter
-      (fun (n, v) ->
-        Prom.gauge prom ~help:"Registered gauge provider value."
-          ~labels:[ ("gauge", n) ] "repro_gauge" v)
-      w.w_gauges;
     List.iter
       (fun (level, row) ->
         Array.iteri

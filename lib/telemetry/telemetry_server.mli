@@ -2,19 +2,22 @@
     endpoint.
 
     One extra domain periodically samples the telemetry registry (counters,
-    latency histograms, flight contention heat, registered gauges) into an
+    latency histograms, flight contention heat, the gauges every
+    {!Telemetry.snapshot} carries) into an
     allocation-bounded ring of {e windowed deltas} — so a scraper sees
     rates and recent p50/p99, not just cumulative totals since process
     start — and serves them over a minimal HTTP/1.0 listener on a TCP or
     Unix socket:
 
-    - [/metrics]        Prometheus exposition: cumulative counters and
-                        histograms plus per-window rate/quantile gauges.
+    - [/metrics]        Prometheus exposition: cumulative counters,
+                        histograms and registered gauges
+                        ({!Telemetry.prometheus_of_snapshot}, sampled at
+                        scrape time) plus per-window rate/quantile gauges.
                         Scrape-safe while writer phases run (snapshots are
                         racy-but-defined reads of plain per-domain shards;
                         no scrape ever takes a lock a hot path holds).
     - [/snapshot.json]  the current (most recently completed) window as
-                        hand-rolled JSON: rates, deltas, window histogram
+                        JSON (lib/json): rates, deltas, window histogram
                         quantiles, gauges, heat, health.
     - [/heat]           flight contention heatmap per tree level (window
                         and whole-ring views).
@@ -30,7 +33,8 @@
     domain-confined state (never shared, so it needs no synchronization —
     the discipline the R1 lint fixtures illustrate), and the only
     cross-domain traffic is the racy-but-defined sampling reads plus a
-    mutex-protected provider/health registry touched on cold paths only.
+    mutex-protected chaos probe and health state touched on cold paths
+    only.
     When no server is started, nothing runs and no hot path changes: the
     health hooks cost one atomic bump on cold paths (watchdog join, failure
     aggregation) that are themselves off the hot path. *)
@@ -66,13 +70,6 @@ val stop : t -> unit
     listener, and unlink the Unix socket path.  Idempotent. *)
 
 (** {1 Extension points (cold paths)} *)
-
-val register_gauges : string -> (unit -> (string * float) list) -> unit
-(** [register_gauges group f] adds a gauge provider sampled once per
-    window; each [(name, value)] pair is exposed as [group.name].  [f]
-    runs on the monitor domain while writers may be live, so it must only
-    perform racy-but-defined reads (e.g. [Sync.Counter] / plain-int
-    reads) — never traverse shared structures. *)
 
 val set_chaos_probe : (unit -> bool * int) option -> unit
 (** Probe for chaos-drill health: returns (spec armed, cumulative

@@ -1060,7 +1060,7 @@ let test_index_merge_empty_and_small () =
     (Storage.Index.merge idx [| [| 3 |]; [| 1 |]; [| 2 |]; [| 3 |] |]);
   check_int "cardinal" 3 (Storage.Index.cardinal idx);
   check_int "sorted batch replay" 0
-    (Storage.Index.insert_batch idx [| [| 1 |]; [| 2 |]; [| 3 |] |])
+    (Storage.Index.merge idx [| [| 1 |]; [| 2 |]; [| 3 |] |])
 
 let test_engine_respects_two_phases () =
   (* the core claim behind the paper's synchronisation design: parallel

@@ -283,12 +283,40 @@ let test_r8_clean () =
 
 (* --- JSON round-trip and the baseline ratchet ---------------------- *)
 
+(* Every byte class the codec must carry: a quote, a backslash, a
+   newline, a tab, another control byte, and UTF-8 (bytes >= 0x80). *)
+let odd = "q\" b\\ n\n t\t c\x01 hi\xc3\xa9"
+
+let odd_findings =
+  [
+    { Lint.file = "lib/a.ml"; line = 1; col = 2; rule = "hygiene"; message = "plain" };
+    { Lint.file = "lib/" ^ odd ^ ".ml"; line = 30; col = 4; rule = "r" ^ odd; message = odd };
+  ]
+
+(* The documents' exact bytes, one entry per line, as the checked-in
+   baseline format has always been written. *)
+let odd_findings_golden =
+  "{\"schema\":\"lint_findings/1\",\"count\":2,\"findings\":[\n\
+  \  {\"file\":\"lib/a.ml\",\"line\":1,\"col\":2,\"rule\":\"hygiene\",\"message\":\"plain\"},\n\
+  \  {\"file\":\"lib/q\\\" b\\\\ n\\n t\\t c\\u0001 hi\195\169.ml\",\"line\":30,\"col\":4,\
+   \"rule\":\"rq\\\" b\\\\ n\\n t\\t c\\u0001 hi\195\169\",\
+   \"message\":\"q\\\" b\\\\ n\\n t\\t c\\u0001 hi\195\169\"}\n\
+   ]}\n"
+
 let test_json_roundtrip () =
   let fs = Lint.check_file ~hot:false ~atomic_ok:true (fx "r5_violation.ml") in
   Alcotest.(check bool) "some findings to serialise" true (fs <> []);
-  (match Lint.findings_of_json (Lint.findings_to_json fs) with
-  | Ok fs' -> Alcotest.(check bool) "round-trips exactly" true (fs = fs')
-  | Error m -> Alcotest.fail ("findings_of_json: " ^ m));
+  List.iter
+    (fun fs ->
+      match Lint.findings_of_json (Lint.findings_to_json fs) with
+      | Ok fs' -> Alcotest.(check bool) "round-trips exactly" true (fs = fs')
+      | Error m -> Alcotest.fail ("findings_of_json: " ^ m))
+    [ fs; odd_findings ];
+  Alcotest.(check string) "findings bytes" odd_findings_golden
+    (Lint.findings_to_json odd_findings);
+  Alcotest.(check string) "empty findings bytes"
+    "{\"schema\":\"lint_findings/1\",\"count\":0,\"findings\":[]}\n"
+    (Lint.findings_to_json []);
   match Lint.findings_of_json (Lint.findings_to_json []) with
   | Ok [] -> ()
   | Ok _ -> Alcotest.fail "empty list did not round-trip"
@@ -297,7 +325,37 @@ let test_json_roundtrip () =
 let mk file rule message line =
   { Lint.file; line; col = 0; rule; message }
 
+let odd_baseline_golden =
+  "{\"schema\":\"lint_baseline/1\",\"entries\":[\n\
+  \  {\"file\":\"lib/a.ml\",\"rule\":\"hygiene\",\"message\":\"plain\",\"count\":1},\n\
+  \  {\"file\":\"lib/q\\\" b\\\\ n\\n t\\t c\\u0001 hi\195\169\",\
+   \"rule\":\"rq\\\" b\\\\ n\\n t\\t c\\u0001 hi\195\169\",\
+   \"message\":\"q\\\" b\\\\ n\\n t\\t c\\u0001 hi\195\169\",\"count\":2}\n\
+   ]}\n"
+
 let test_baseline_diff () =
+  let entries =
+    [
+      { Lint.be_file = "lib/a.ml"; be_rule = "hygiene"; be_message = "plain"; be_count = 1 };
+      { Lint.be_file = "lib/" ^ odd; be_rule = "r" ^ odd; be_message = odd; be_count = 2 };
+    ]
+  in
+  Alcotest.(check string) "baseline bytes" odd_baseline_golden
+    (Lint.baseline_to_json entries);
+  (match Lint.baseline_of_json (Lint.baseline_to_json entries) with
+  | Ok e -> Alcotest.(check bool) "odd entries round-trip" true (e = entries)
+  | Error m -> Alcotest.fail ("baseline_of_json: " ^ m));
+  (* the checked-in ratchet file parses *)
+  let path =
+    if Sys.file_exists "../LINT_BASELINE.json" then "../LINT_BASELINE.json"
+    else "LINT_BASELINE.json"
+  in
+  let ic = open_in_bin path in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (match Lint.baseline_of_json src with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("LINT_BASELINE.json: " ^ m));
   let fs =
     [
       mk "a.ml" Lint.rule_hygiene "m1" 1;

@@ -279,17 +279,18 @@ let test_read_your_writes () =
   | Ok (Dl_client.Data (_, rows)) -> checki "cardinality" 3 (List.length rows)
   | _ -> Alcotest.fail "audit query failed"
 
-let stats_field c name =
+let stats_pairs c =
   match Dl_client.stats c with
   | Ok (Dl_client.Data (_, lines)) ->
-    List.find_map
+    List.map
       (fun l ->
         match String.index_opt l '=' with
-        | Some eq when String.sub l 0 eq = name ->
-          Some (String.sub l (eq + 1) (String.length l - eq - 1))
-        | _ -> None)
+        | Some i -> (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
+        | None -> Alcotest.failf "STATS line without '=': %S" l)
       lines
   | _ -> Alcotest.fail "STATS: bad reply"
+
+let stats_field c name = List.assoc_opt name (stats_pairs c)
 
 (* Raw-socket access, for tests that must pipeline requests without
    waiting for replies (Dl_client is strictly request/reply). *)
@@ -480,6 +481,165 @@ let test_shutdown () =
       Dl_client.close c;
       Alcotest.fail "server still accepting after shutdown")
 
+(* --- one registry: STATS and the telemetry surfaces agree ------------ *)
+
+let dl_server_gauges gauges =
+  List.filter_map
+    (fun (n, v) ->
+      let p = "dl_server." in
+      if String.starts_with ~prefix:p n then
+        Some (String.sub n (String.length p) (String.length n - String.length p), v)
+      else None)
+    gauges
+
+(* the members of a JSON object of gauges (crash dump, /snapshot.json) *)
+let json_gauges = function
+  | Some (Json.Obj kvs) ->
+    dl_server_gauges
+      (List.filter_map
+         (function n, Json.Float v -> Some (n, v) | _ -> None)
+         kvs)
+  | _ -> []
+
+(* [repro_gauge{gauge="dl_server.NAME"} V] samples of a /metrics body *)
+let scraped_gauges body =
+  dl_server_gauges
+    (List.filter_map
+       (fun l -> Scanf.sscanf_opt l "repro_gauge{gauge=%S} %f" (fun n v -> (n, v)))
+       (String.split_on_char '\n' body))
+
+let stats_keys_base =
+  [
+    "proto"; "program"; "generation"; "stale"; "pending_ingest";
+    "reserved_ingest"; "queued_queries"; "clients"; "conns_total"; "requests";
+    "busy_rejections"; "flips"; "flip_failures"; "phase_violations"; "workers";
+    "storage"; "durability";
+  ]
+
+let stats_keys_wal =
+  [
+    "wal_dir"; "wal_segments"; "wal_records"; "wal_bytes"; "wal_fsyncs";
+    "wal_compactions"; "wal_errors"; "wal_torn"; "recovered_records";
+    "recovered_segments"; "recovered_bytes"; "recovered_commit_seq";
+    "recovered_torn_tail";
+  ]
+
+let start_server ?data_dir () =
+  let addr = fresh_addr () in
+  let cfg =
+    {
+      (Dl_server.default_config addr) with
+      Dl_server.workers = 2;
+      max_pending = 4;
+      check_phases = true;
+      data_dir;
+    }
+  in
+  match Dl_server.start cfg with
+  | Error m -> Alcotest.failf "server start: %s" m
+  | Ok srv -> (srv, addr)
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+(* Drive RULES, LOAD, QUERY and one busy rejection, then, with the server
+   quiescent, every integer STATS entry must equal its dl_server gauge in
+   a Telemetry snapshot, a crash dump, and the monitor's /metrics and
+   /snapshot.json. *)
+let check_surfaces mon ?data_dir () =
+  let srv, addr = start_server ?data_dir () in
+  Fun.protect ~finally:(fun () -> Dl_server.stop srv) @@ fun () ->
+  with_client addr @@ fun c ->
+  install c;
+  (match Dl_client.load c "kv" [ "1 2"; "3 4"; "5 6" ] with
+  | Ok (Dl_client.Ok_ _) -> ()
+  | _ -> Alcotest.fail "LOAD failed");
+  (match Dl_client.query c "out" [ "_"; "_" ] with
+  | Ok (Dl_client.Data (_, rows)) -> checki "rows" 3 (List.length rows)
+  | _ -> Alcotest.fail "QUERY failed");
+  (match Dl_client.load c "kv" [ "7 8"; "9 10"; "11 12"; "13 14"; "15 16" ] with
+  | Ok (Dl_client.Err ("busy", _)) -> ()
+  | _ -> Alcotest.fail "LOAD over max_pending not rejected busy");
+  let stats = stats_pairs c in
+  let wal = if data_dir = None then [] else stats_keys_wal in
+  check
+    Alcotest.(list string)
+    "STATS keys and order"
+    (stats_keys_base @ wal @ [ "rel.kv"; "rel.out" ])
+    (List.map fst stats);
+  checki "one busy rejection" 1 (int_of_string (List.assoc "busy_rejections" stats));
+  checkb "flipped" true (int_of_string (List.assoc "flips" stats) >= 1);
+  let ints =
+    List.filter_map
+      (fun (k, v) ->
+        if String.starts_with ~prefix:"rel." k then None
+        else Option.map (fun n -> (k, float_of_int n)) (int_of_string_opt v))
+      stats
+  in
+  let pairs = Alcotest.(list (pair string (float 0.))) in
+  check pairs "snapshot gauges = STATS" ints
+    (dl_server_gauges (Telemetry.snapshot ()).Telemetry.gauges);
+  check pairs "crash-dump gauges = STATS" ints
+    (json_gauges (Json.member "gauges" (Flight.to_json ~reason:"test" ~seed:0 ())));
+  let fetch path =
+    match Telemetry_server.fetch (Telemetry_server.bound mon) path with
+    | Ok (200, body) -> body
+    | Ok (code, _) -> Alcotest.failf "%s answered %d" path code
+    | Error m -> Alcotest.failf "%s: %s" path m
+  in
+  check pairs "/metrics gauges = STATS" ints (scraped_gauges (fetch "/metrics"));
+  (* /snapshot.json shows the last completed window: wait for one sampled
+     after the STATS reply *)
+  let window () =
+    Option.bind
+      (Json.member "window" (Json.of_string (fetch "/snapshot.json")))
+      (Json.member "gauges")
+    |> json_gauges
+  in
+  let deadline = Unix.gettimeofday () +. 2. in
+  let rec await () =
+    let w = window () in
+    if w = ints || Unix.gettimeofday () > deadline then w
+    else (
+      Unix.sleepf 0.02;
+      await ())
+  in
+  check pairs "/snapshot.json gauges = STATS" ints (await ())
+
+let test_surfaces_agree () =
+  let mon =
+    match Telemetry_server.start ~interval_ms:20 (fresh_addr ()) with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "monitor start: %s" e
+  in
+  Fun.protect ~finally:(fun () -> Telemetry_server.stop mon) @@ fun () ->
+  check_surfaces mon ();
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "test-dlserve-wal-%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (check_surfaces mon ~data_dir:dir);
+  (* the last server started owns the gauge group: stopping an earlier one
+     must not take the survivor's gauges down *)
+  let a, _ = start_server () in
+  let b, baddr = start_server () in
+  Dl_server.stop a;
+  (with_client baddr @@ fun c ->
+   let requests = int_of_string (List.assoc "requests" (stats_pairs c)) in
+   check
+     Alcotest.(option (float 0.))
+     "survivor's gauges live"
+     (Some (float_of_int requests))
+     (List.assoc_opt "requests"
+        (dl_server_gauges (Telemetry.snapshot ()).Telemetry.gauges)));
+  Dl_server.stop b;
+  checki "no gauges once every server stopped" 0
+    (List.length (dl_server_gauges (Telemetry.snapshot ()).Telemetry.gauges))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "server"
@@ -504,5 +664,7 @@ let () =
           tc "batch payload byte cap" `Quick test_batch_bytes_cap;
           tc "concurrent clients exact audit" `Quick test_concurrent_clients;
           tc "shutdown drains" `Quick test_shutdown;
+          tc "STATS = dl_server gauges on every surface" `Quick
+            test_surfaces_agree;
         ] );
     ]

@@ -230,23 +230,41 @@ fi
 # scrape the server's live telemetry while it is resident (python3 optional)
 if command -v python3 >/dev/null 2>&1; then
   SOCK="$SRV_MSOCK" python3 <<'PY'
-import os, socket
+import os, socket, time
 
-s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-s.settimeout(5.0)
-s.connect(os.environ["SOCK"])
-s.sendall(b"GET /metrics HTTP/1.0\r\n\r\n")
-buf = b""
-while chunk := s.recv(65536):
-    buf += chunk
-s.close()
-head, _, body = buf.partition(b"\r\n\r\n")
-if int(head.split(b" ", 2)[1]) != 200:
-    raise SystemExit("ci: server /metrics not 200")
-samples = [l for l in body.decode().splitlines() if l and not l.startswith("#")]
+def scrape():
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.settimeout(5.0)
+    s.connect(os.environ["SOCK"])
+    s.sendall(b"GET /metrics HTTP/1.0\r\n\r\n")
+    buf = b""
+    while chunk := s.recv(65536):
+        buf += chunk
+    s.close()
+    head, _, body = buf.partition(b"\r\n\r\n")
+    if int(head.split(b" ", 2)[1]) != 200:
+        raise SystemExit("ci: server /metrics not 200")
+    return [l for l in body.decode().splitlines() if l and not l.startswith("#")]
+
+# the server's STATS integers ride every scrape as the dl_server gauge
+# group; retry briefly so one sampling window can complete
+def gauge(samples, name):
+    key = 'repro_gauge{gauge="dl_server.%s"} ' % name
+    return next((float(l[len(key):]) for l in samples if l.startswith(key)), 0.0)
+
+deadline = time.monotonic() + 2.0
+while True:
+    samples = scrape()
+    flips, requests = gauge(samples, "flips"), gauge(samples, "requests")
+    if (len(samples) >= 5 and flips >= 1 and requests >= 1) or time.monotonic() > deadline:
+        break
+    time.sleep(0.1)
 if len(samples) < 5:
     raise SystemExit(f"ci: only {len(samples)} server exposition samples")
-print(f"ci: server /metrics ok ({len(samples)} exposition samples)")
+if flips < 1 or requests < 1:
+    raise SystemExit(f"ci: dl_server gauges missing (flips={flips}, requests={requests})")
+print(f"ci: server /metrics ok ({len(samples)} exposition samples, "
+      f"dl_server.flips={flips:.0f}, dl_server.requests={requests:.0f})")
 PY
 else
   echo "ci: python3 not available; skipping server /metrics scrape"
