@@ -58,6 +58,8 @@ let add_fact_run t name run =
 let add_facts t name tups = add_fact_run t name (Array.of_list tups)
 let intern t s = Symtab.intern t.symtab s
 
+let symbol_id t s = Symtab.find_opt t.symtab s
+
 let symbol_name t id =
   match Symtab.name t.symtab id with
   | name -> Some name

@@ -48,6 +48,9 @@ val intern : t -> string -> int
 
 val symbol_name : t -> int -> string option
 
+val symbol_id : t -> string -> int option
+(** The id of a symbol already interned, without interning it. *)
+
 val run : t -> Pool.t -> unit
 (** Evaluate to fixed point.  May be called once.
     @raise Invalid_argument on repeated calls. *)

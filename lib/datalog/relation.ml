@@ -1,20 +1,26 @@
 type t = {
   name : string;
   arity : int;
-  kind : Storage.kind;
   stats : Dl_stats.t option;
   write_lock : Mutex.t option; (* Some for kinds without thread-safe insert *)
   primary : Storage.Index.t;
+  ordered : bool;
+      (* tree kinds: every index is a set that scans any prefix of its
+         range; a hash multimap answers only its whole signature and does
+         not deduplicate *)
+  primary_range : int array;
+      (* the columns the primary range-scans on: [0..arity-1] for tree
+         kinds, none for hash kinds (a hash set only enumerates) *)
   secondary : (int array * Storage.Index.t) array;
       (* signature -> serving index; entries may share indexes physically
-         (chain cover, tree kinds only) *)
-  distinct : Storage.Index.t array; (* each underlying secondary index once *)
+         (chain cover, tree kinds only), the primary included *)
+  distinct : (int array * Storage.Index.t) array;
+      (* each physical secondary index once, with its range: its total
+         column order (tree kinds) or its multimap signature (hash kinds) *)
   phase : Sync.Phase_latch.t;
       (* open typed phases: a reader/writer latch word (same packing as
          [Storage.Index.with_phase_check]) *)
 }
-
-let shares_indexes = Storage.shares_indexes
 
 let create ?(check_phases = false) ~name ~arity ~kind ~sigs ~stats () =
   let checked i idx =
@@ -27,41 +33,60 @@ let create ?(check_phases = false) ~name ~arity ~kind ~sigs ~stats () =
   let uniq =
     List.sort_uniq Key.Int_array.compare (List.filter (fun s -> Array.length s > 0) sigs)
   in
-  let secondary, distinct =
-    if shares_indexes kind then begin
+  let primary = checked 0 (Storage.Index.create kind ~arity ~cols:[||] ~stats ()) in
+  let identity = Array.init arity Fun.id in
+  let ordered = Storage.shares_indexes kind in
+  let primary_range, secondary, distinct =
+    if ordered then begin
       let plan = Index_selection.solve ~arity uniq in
-      let indexes =
+      (* A chain whose total order is the primary's own ([0..arity-1])
+         is served by the primary: a second tree in the same order would
+         only double every insert. *)
+      let made = ref [] in
+      let serving =
         Array.of_list
-          (List.mapi
-             (fun i order ->
-               checked (i + 1)
-                 (Storage.Index.create kind ~arity ~cols:[||] ~order ~stats ()))
+          (List.map
+             (fun order ->
+               let range = Storage.total_order ~arity order in
+               if range = identity then primary
+               else begin
+                 let idx =
+                   checked
+                     (List.length !made + 1)
+                     (Storage.Index.create kind ~arity ~cols:[||] ~order ~stats ())
+                 in
+                 made := (range, idx) :: !made;
+                 idx
+               end)
              plan.Index_selection.orders)
       in
-      ( Array.of_list
+      ( identity,
+        Array.of_list
           (List.map
-             (fun (cols, chain) -> (cols, indexes.(chain)))
+             (fun (cols, chain) -> (cols, serving.(chain)))
              plan.Index_selection.assignment),
-        indexes )
+        Array.of_list (List.rev !made) )
     end
     else begin
       let entries =
-        List.mapi
-          (fun i cols ->
-            (cols, checked (i + 1) (Storage.Index.create kind ~arity ~cols ~stats ())))
-          uniq
+        Array.of_list
+          (List.mapi
+             (fun i cols ->
+               (cols, checked (i + 1) (Storage.Index.create kind ~arity ~cols ~stats ())))
+             uniq)
       in
-      (Array.of_list entries, Array.of_list (List.map snd entries))
+      ([||], entries, entries)
     end
   in
   {
     name;
     arity;
-    kind;
     stats;
     write_lock =
       (if Storage.thread_safe_insert kind then None else Some (Mutex.create ()));
-    primary = checked 0 (Storage.Index.create kind ~arity ~cols:[||] ~stats ());
+    primary;
+    ordered;
+    primary_range;
     secondary;
     distinct;
     phase = Sync.Phase_latch.make ();
@@ -78,7 +103,7 @@ let insert_unlocked t tup =
   let fresh = Storage.Index.insert t.primary tup in
   if fresh then
     Array.iter
-      (fun idx -> ignore (Storage.Index.insert idx tup : bool))
+      (fun (_, idx) -> ignore (Storage.Index.insert idx tup : bool))
       t.distinct;
   fresh
 
@@ -94,13 +119,13 @@ let hint_counters t =
     | Some (h, m), Some (h', m') -> Some (h + h', m + m')
     | Some _, None -> acc
   in
-  Array.fold_left (fun acc idx -> add acc idx) (add None t.primary) t.distinct
+  Array.fold_left (fun acc (_, idx) -> add acc idx) (add None t.primary) t.distinct
 
 let shape t = Storage.Index.shape t.primary
 
 let hint_runs t =
   let add acc idx = Storage.Index.merge_runs acc (Storage.Index.hint_runs idx) in
-  Array.fold_left (fun acc idx -> add acc idx) (add None t.primary) t.distinct
+  Array.fold_left (fun acc (_, idx) -> add acc idx) (add None t.primary) t.distinct
 
 let index_count t = Array.length t.distinct
 
@@ -119,7 +144,8 @@ module Cursor = struct
   type t = {
     rel : rel;
     c_primary : Storage.Index.cursor;
-    c_insert : Storage.Index.cursor array; (* one per underlying index *)
+    c_distinct : Storage.Index.cursor array;
+        (* one per distinct secondary index: inserts and queries *)
     c_scan : (int array * Storage.Index.cursor) array; (* one per signature *)
   }
 
@@ -127,12 +153,18 @@ module Cursor = struct
     {
       rel;
       c_primary = Storage.Index.cursor rel.primary;
-      c_insert = Array.map Storage.Index.cursor rel.distinct;
+      c_distinct =
+        Array.map (fun (_, idx) -> Storage.Index.cursor idx) rel.distinct;
       c_scan =
         Array.map
           (fun (cols, idx) -> (cols, Storage.Index.cursor idx))
           rel.secondary;
     }
+
+  let release c =
+    Storage.Index.c_release c.c_primary;
+    Array.iter Storage.Index.c_release c.c_distinct;
+    Array.iter (fun (_, cur) -> Storage.Index.c_release cur) c.c_scan
 
   let count_insert c fresh =
     match c.rel.stats with
@@ -146,7 +178,7 @@ module Cursor = struct
     if fresh then
       Array.iter
         (fun cur -> ignore (Storage.Index.c_insert cur tup : bool))
-        c.c_insert;
+        c.c_distinct;
     fresh
 
   let insert c tup =
@@ -166,6 +198,62 @@ module Cursor = struct
       let cols, cur = c.c_scan.(sig_id) in
       Storage.Index.c_scan cur ~cols bound f
     end
+
+  (* How many leading columns of [range] the pattern binds: the length of
+     the range scan an index with that range can run.  On a hash
+     multimap only the whole signature can be looked up, so a shorter
+     bound prefix makes the index unusable (-1). *)
+  let servable rel range pat =
+    let n = Array.length range in
+    let rec go i = if i < n && Option.is_some pat.(range.(i)) then go (i + 1) else i in
+    let l = go 0 in
+    if l < n && not rel.ordered then -1 else l
+
+  let matches pat tup =
+    let n = Array.length pat in
+    let rec go i =
+      i = n
+      || (match pat.(i) with Some v -> tup.(i) = v | None -> true)
+         && go (i + 1)
+    in
+    go 0
+
+  (* The index-choosing lookup: the physical index whose range has the
+     longest bound prefix serves the pattern with one range scan
+     (lower_bound + in-order scan on the tree kinds), and any bound column
+     past that prefix is checked inline.  The whole-relation scan is the
+     empty-prefix case.  A fully bound pattern is one membership test. *)
+  let query c pat f =
+    let rel = c.rel in
+    let nbound =
+      Array.fold_left (fun n p -> if Option.is_some p then n + 1 else n) 0 pat
+    in
+    if nbound = rel.arity then begin
+      let tup = Array.map Option.get pat in
+      if mem c tup then f tup
+    end
+    else begin
+      let best = ref (-1) in
+      let len = ref (servable rel rel.primary_range pat) in
+      Array.iteri
+        (fun k (range, _) ->
+          let l = servable rel range pat in
+          if l > !len then begin
+            best := k;
+            len := l
+          end)
+        rel.distinct;
+      let range, cur =
+        if !best < 0 then (rel.primary_range, c.c_primary)
+        else (fst rel.distinct.(!best), c.c_distinct.(!best))
+      in
+      let cols = Array.sub range 0 !len in
+      let bound = Array.map (fun col -> Option.get pat.(col)) cols in
+      if !len = nbound then Storage.Index.c_scan cur ~cols bound f
+      else
+        Storage.Index.c_scan cur ~cols bound (fun tup ->
+            if matches pat tup then f tup)
+    end
 end
 
 (* ---------------- batch merge ---------------- *)
@@ -176,7 +264,7 @@ let merge_batch ?pool t tuples =
     let do_merge () =
       if Array.length t.distinct = 0 then
         Storage.Index.merge ?pool t.primary tuples
-      else if shares_indexes t.kind then begin
+      else if t.ordered then begin
         (* Tree kinds: every index is a dedup set, so each can merge the
            full array independently (sorting its own copy in its own
            order).  Skipping the primary-freshness gate is equivalent to
@@ -184,7 +272,7 @@ let merge_batch ?pool t tuples =
            already in every secondary. *)
         let fresh = Storage.Index.merge ?pool t.primary tuples in
         Array.iter
-          (fun idx -> ignore (Storage.Index.merge ?pool idx tuples : int))
+          (fun (_, idx) -> ignore (Storage.Index.merge ?pool idx tuples : int))
           t.distinct;
         fresh
       end
@@ -272,7 +360,9 @@ module Writer = struct
     check_open w.w_rel.name w.w_closed "insert_batch";
     merge_batch ?pool w.w_rel tuples
 
-  let finish w = leave_phase w.w_rel Sync.Phase_latch.Write w.w_closed
+  let finish w =
+    if not !(w.w_closed) then Cursor.release w.w_cur;
+    leave_phase w.w_rel Sync.Phase_latch.Write w.w_closed
 end
 
 module Reader = struct
@@ -287,7 +377,13 @@ module Reader = struct
     check_open r.r_rel.name r.r_closed "scan";
     Cursor.scan r.r_cur sig_id bound f
 
-  let finish r = leave_phase r.r_rel Sync.Phase_latch.Read r.r_closed
+  let query r pat f =
+    check_open r.r_rel.name r.r_closed "query";
+    Cursor.query r.r_cur pat f
+
+  let finish r =
+    if not !(r.r_closed) then Cursor.release r.r_cur;
+    leave_phase r.r_rel Sync.Phase_latch.Read r.r_closed
 end
 
 let begin_write t =

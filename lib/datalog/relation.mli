@@ -23,11 +23,14 @@ val create :
     For tree-backed storage kinds, signatures forming containment chains
     share one physical index whose order serves every signature on the
     chain ({!Index_selection} — the paper's companion index-minimisation
-    technique); hash kinds get one multimap per signature. *)
+    technique); a chain whose total order is the primary's own
+    ([0 .. arity-1]) is served by the primary itself.  Hash kinds get one
+    multimap per signature. *)
 
 val index_count : t -> int
-(** Number of physical secondary indexes (≤ number of signatures for tree
-    kinds). *)
+(** Number of physical secondary indexes, the primary not counted (≤
+    number of signatures for tree kinds; 0 when every chain is a prefix of
+    the primary's order). *)
 
 val name : t -> string
 val arity : t -> int
@@ -98,10 +101,12 @@ module Writer : sig
   (** {!merge_batch} through this writer. *)
 
   val finish : t -> unit
-  (** Close the phase.  @raise Invalid_argument if already finished. *)
+  (** Close the phase, folding the handle's hint statistics into its
+      indexes' totals.  @raise Invalid_argument if already finished. *)
 end
 
-(** Read-phase handle: hinted membership and scans only. *)
+(** Read-phase handle: hinted membership, scans and pattern queries
+    only. *)
 module Reader : sig
   type rel = t
   type t
@@ -113,8 +118,21 @@ module Reader : sig
       signature [sig_id] (from {!sig_id}); [-1] with an empty [bound]
       scans the whole relation. *)
 
+  val query : t -> int option array -> (int array -> unit) -> unit
+  (** [query r pat f] calls [f] on every tuple matching [pat] (one entry
+      per column: [Some v] binds the column to [v], [None] is a wildcard),
+      choosing the index itself.  A fully bound pattern is one membership
+      test.  Otherwise the physical index whose column order has the
+      longest prefix of bound columns — the primary's order is
+      [0 .. arity-1] — answers with one range scan over that prefix (the
+      paper's lower_bound + in-order scan), checking any other bound
+      column inline; on hash kinds the candidates are the multimaps whose
+      whole signature is bound.  With no usable prefix this is the full
+      scan.  Tuple order is the chosen index's. *)
+
   val finish : t -> unit
-  (** Close the phase.  @raise Invalid_argument if already finished. *)
+  (** Close the phase, folding the handle's hint statistics into its
+      indexes' totals.  @raise Invalid_argument if already finished. *)
 end
 
 val begin_write : t -> Writer.t

@@ -77,6 +77,7 @@ module Index = struct
     c_insert : int array -> bool;
     c_mem : int array -> bool;
     c_scan : cols:int array -> int array -> (int array -> unit) -> unit;
+    c_release : unit -> unit;
   }
 
   type t = {
@@ -145,11 +146,15 @@ module Index = struct
        either cols-major or an explicit shared-chain order *)
     let order = total_order ~arity (Option.value order ~default:cols) in
     let tree = Btree_tuples.create ~arity ~order () in
-    (* the hints of every session ever handed to a cursor, for hit-rate
-       reporting *)
-    let hint_registry = ref [] in
+    (* Hint statistics for hit-rate reporting: the hints of every live
+       cursor session, plus the totals folded in from every session
+       released so far — O(1) per released cursor, so per-query reader
+       handles do not grow the index's memory. *)
+    let live = ref [] in
+    let folded_hits = ref 0 and folded_misses = ref 0 in
+    let folded_runs = ref None in
     let registry_lock = Olock.Spin.create () in
-    let scan sess scratch ~cols bound f =
+    let scan session scratch ~cols bound f =
       count_scan stats (Array.length cols);
       if Array.length cols = 0 then Btree_tuples.iter f tree
       else begin
@@ -162,35 +167,53 @@ module Index = struct
           end
           else false
         in
-        match sess with
-        | Some s -> Btree_tuples.s_iter_from keep s scratch
-        | None -> Btree_tuples.iter_from keep tree scratch
+        if hints then Btree_tuples.s_iter_from keep (session ()) scratch
+        else Btree_tuples.iter_from keep tree scratch
       end
     in
     let cursor () =
       (* each cursor is a per-domain access handle, so it owns a session
-         (the hinted path); the no-hints ablation kind uses the raw
-         unhinted operations instead *)
-      let sess = if hints then Some (Btree_tuples.session tree) else None in
-      (match sess with
-      | Some s ->
-        Olock.Spin.with_lock registry_lock (fun () ->
-            hint_registry := Btree_tuples.s_hints s :: !hint_registry)
-      | None -> ());
+         (the hinted path), created on the cursor's first hinted
+         operation; the no-hints ablation kind uses the raw unhinted
+         operations instead *)
+      let sess = ref None in
+      let session () =
+        match !sess with
+        | Some s -> s
+        | None ->
+          let s = Btree_tuples.session tree in
+          Olock.Spin.with_lock registry_lock (fun () ->
+              live := Btree_tuples.s_hints s :: !live);
+          sess := Some s;
+          s
+      in
+      let release () =
+        match !sess with
+        | None -> ()
+        | Some s ->
+          sess := None;
+          let h = Btree_tuples.s_hints s in
+          let hits, misses = Btree_tuples.hint_counters h in
+          let runs = Some (Btree_tuples.hint_run_hist h) in
+          Olock.Spin.with_lock registry_lock (fun () ->
+              live := List.filter (fun h' -> h' != h) !live;
+              folded_hits := !folded_hits + hits;
+              folded_misses := !folded_misses + misses;
+              folded_runs := merge_runs !folded_runs runs)
+      in
       let scratch = Array.make (max 1 arity) 0 in
       {
         c_insert =
           (fun tup ->
-            match sess with
-            | Some s -> Btree_tuples.s_insert s tup
-            | None -> Btree_tuples.insert tree tup);
+            if hints then Btree_tuples.s_insert (session ()) tup
+            else Btree_tuples.insert tree tup);
         c_mem =
           (fun tup ->
             count_mem stats;
-            match sess with
-            | Some s -> Btree_tuples.s_mem s tup
-            | None -> Btree_tuples.mem tree tup);
-        c_scan = (fun ~cols bound f -> scan sess scratch ~cols bound f);
+            if hints then Btree_tuples.s_mem (session ()) tup
+            else Btree_tuples.mem tree tup);
+        c_scan = (fun ~cols bound f -> scan session scratch ~cols bound f);
+        c_release = release;
       }
     in
     (* Parallel structural merge (delta -> full): sort the incoming tuples
@@ -253,20 +276,24 @@ module Index = struct
         (fun () ->
           if not hints then None
           else
-            Some
-              (List.fold_left
-                 (fun (h, m) hr ->
-                   let h', m' = Btree_tuples.hint_counters hr in
-                   (h + h', m + m'))
-                 (0, 0) !hint_registry));
+            Olock.Spin.with_lock registry_lock (fun () ->
+                Some
+                  (List.fold_left
+                     (fun (h, m) hr ->
+                       let h', m' = Btree_tuples.hint_counters hr in
+                       (h + h', m + m'))
+                     (!folded_hits, !folded_misses)
+                     !live)));
       i_shape = (fun () -> Some (Btree_tuples.shape tree));
       i_hint_runs =
         (fun () ->
           if not hints then None
           else
-            List.fold_left
-              (fun acc hr -> merge_runs acc (Some (Btree_tuples.hint_run_hist hr)))
-              None !hint_registry);
+            Olock.Spin.with_lock registry_lock (fun () ->
+                List.fold_left
+                  (fun acc hr ->
+                    merge_runs acc (Some (Btree_tuples.hint_run_hist hr)))
+                  !folded_runs !live));
     }
 
   (* What an index needs of a sequential ordered baseline tree. *)
@@ -310,6 +337,7 @@ module Index = struct
             count_mem stats;
             T.mem tree tup);
         c_scan = scan scratch;
+        c_release = ignore;
       }
     in
     {
@@ -370,6 +398,7 @@ module Index = struct
             (fun ~cols:_ _bound f ->
               count_scan stats ncols;
               H.iter f set);
+          c_release = ignore;
         }
       in
       {
@@ -416,6 +445,7 @@ module Index = struct
               | Some bucket -> List.exists (Key.Int_array.equal tup) !bucket
               | None -> false);
           c_scan = scan;
+          c_release = ignore;
         }
       in
       let insert_many run =
@@ -460,6 +490,7 @@ module Index = struct
             (fun ~cols:_ _bound f ->
               count_scan stats ncols;
               H.iter f set);
+          c_release = ignore;
         }
       in
       let merge pool tuples =
@@ -537,6 +568,7 @@ module Index = struct
               count_mem stats;
               mem tup);
           c_scan = scan;
+          c_release = ignore;
         }
       in
       let insert_many run =
@@ -729,6 +761,7 @@ module Index = struct
         c_insert = (fun tup -> as_writer (fun () -> c.c_insert tup));
         c_mem = (fun tup -> as_reader (fun () -> c.c_mem tup));
         c_scan = (fun ~cols bound f -> as_reader (fun () -> c.c_scan ~cols bound f));
+        c_release = c.c_release;
       }
     in
     {
@@ -753,6 +786,7 @@ module Index = struct
   let c_insert c tup = c.c_insert tup
   let c_mem c tup = c.c_mem tup
   let c_scan c ~cols bound f = c.c_scan ~cols bound f
+  let c_release c = c.c_release ()
 end
 
 (* Kind metadata, all answered by the backend table. *)

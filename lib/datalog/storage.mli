@@ -45,6 +45,12 @@ val shares_indexes : kind -> bool
     answered by one internal backend table — a first-class module per kind
     also holding its index factory — rather than per-call matches. *)
 
+val total_order : arity:int -> int array -> int array
+(** [total_order ~arity listed] is the full column order of an ordered
+    index created with [listed] as its signature or [order]: [listed],
+    then every other column of an [arity]-tuple in ascending position.
+    The primary index's order is [0 .. arity-1]. *)
+
 module Index : sig
   type t
 
@@ -110,9 +116,17 @@ module Index : sig
       index's order for tree kinds.  With empty [cols] this is a full
       scan. *)
 
+  val c_release : cursor -> unit
+  (** Fold the cursor's hint statistics into its index's totals and drop
+      its per-domain session.  Call it when the worker's phase ends; a
+      released cursor stays usable (its next hinted operation starts a
+      fresh session).  Sessions are created lazily, on a cursor's first
+      hinted operation, so a cursor that is never used costs its index
+      nothing. *)
+
   val hint_counters : t -> (int * int) option
-  (** [(hits, misses)] aggregated over every cursor ever created on this
-      index — the paper's section 4.3 hint hit-rate statistic.  [None] for
+  (** [(hits, misses)] aggregated over every cursor ever used on this
+      index (live cursors plus the totals of released ones) — the paper's section 4.3 hint hit-rate statistic.  [None] for
       storage kinds without operation hints. *)
 
   val shape : t -> Tree_shape.t option
@@ -121,8 +135,8 @@ module Index : sig
 
   val hint_runs : t -> int array option
   (** Hint-locality distribution ({!Btree_tuples.hint_run_hist}) summed
-      over every cursor ever created on this index; [None] for unhinted
-      kinds or when no cursor was created. *)
+      over every cursor ever used on this index; [None] for unhinted kinds
+      or when no cursor has run a hinted operation. *)
 
   val merge_runs : int array option -> int array option -> int array option
   (** Element-wise sum of two optional {!hint_runs} histograms. *)

@@ -230,6 +230,15 @@ type response =
 let one_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
+let data_head buf info n =
+  Buffer.add_string buf "DATA ";
+  Buffer.add_string buf (string_of_int n);
+  if info <> "" then begin
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (one_line info)
+  end;
+  Buffer.add_char buf '\n'
+
 let render buf = function
   | R_ok "" -> Buffer.add_string buf "OK\n"
   | R_ok info ->
@@ -243,19 +252,26 @@ let render buf = function
     Buffer.add_string buf (one_line msg);
     Buffer.add_char buf '\n'
   | R_data (info, lines) ->
-    Buffer.add_string buf "DATA ";
-    Buffer.add_string buf (string_of_int (List.length lines));
-    if info <> "" then begin
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (one_line info)
-    end;
-    Buffer.add_char buf '\n';
+    data_head buf info (List.length lines);
     List.iter
       (fun l ->
         Buffer.add_string buf (one_line l);
         Buffer.add_char buf '\n')
       lines;
     Buffer.add_string buf "END\n"
+
+let render_row buf tup =
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf '\t';
+      Buffer.add_string buf (string_of_int v))
+    tup;
+  Buffer.add_char buf '\n'
+
+let render_data buf info n rows =
+  data_head buf info n;
+  Buffer.add_buffer buf rows;
+  Buffer.add_string buf "END\n"
 
 let parse_response_line line =
   match tokens line with

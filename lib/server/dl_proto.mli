@@ -105,6 +105,16 @@ val render : Buffer.t -> response -> unit
 (** Serialise one response, including payload framing and trailing
     newlines. *)
 
+val render_row : Buffer.t -> int array -> unit
+(** Append one integer tuple as a [DATA] payload line: tab-separated
+    decimal fields, then LF. *)
+
+val render_data : Buffer.t -> string -> int -> Buffer.t -> unit
+(** [render_data buf info n rows] serialises a [DATA] response whose [n]
+    payload lines were already rendered into [rows] (by {!render_row}):
+    the same bytes as {!render} on [R_data (info, lines)], without
+    building the line list. *)
+
 val parse_response_line :
   string -> [ `Ok of string | `Data of int * string | `Err of string * string ]
 (** Client side: classify a response status line.  Unrecognised lines come

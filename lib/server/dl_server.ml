@@ -159,13 +159,17 @@ let[@lint.dispatch
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush_conn st c
       | exception _ -> close_conn st c
 
-let respond st c resp =
+(* Queue finished response bytes and try to write them. *)
+let send st c bytes =
   if c.c_alive then begin
-    let buf = Buffer.create 128 in
-    Dl_proto.render buf resp;
-    Queue.add (Buffer.contents buf) c.c_outq;
+    Queue.add bytes c.c_outq;
     flush_conn st c
   end
+
+let respond st c resp =
+  let buf = Buffer.create 128 in
+  Dl_proto.render buf resp;
+  send st c (Buffer.contents buf)
 
 let reject_busy st c msg =
   st.s_busy <- st.s_busy + 1;
@@ -316,15 +320,13 @@ let flip_due st now =
 (* Query execution (reader phases)                                  *)
 (* --------------------------------------------------------------- *)
 
-(* A resolved pattern field: symbols interned on the server domain
-   (symtab mutation is not thread-safe) before fanning out; a symbol the
-   generation never saw matches nothing, which interning expresses
-   naturally (a fresh id no tuple contains). *)
+(* A resolved pattern: symbols looked up on the server domain before
+   fanning out.  A symbol the generation never interned matches nothing,
+   so its query resolves to [None] and answers no rows; it is not
+   interned, since a fresh id could equal a number some tuple holds (and
+   each unseen symbol would grow the symbol table for good). *)
 
 let decl_arity st rel = List.assoc_opt rel st.s_decls
-
-let row_to_string tup =
-  String.concat "\t" (Array.to_list (Array.map string_of_int tup))
 
 let[@lint.dispatch
     "query dispatch point of the select loop: fans read-only queries out \
@@ -354,16 +356,19 @@ let[@lint.dispatch
           | Some _ -> (
             match Engine.relation gen rel with
             | r ->
+              let unseen = ref false in
               let ipats =
                 Array.map
                   (function
                     | Dl_proto.P_any -> None
                     | Dl_proto.P_val (Dl_proto.V_int v) -> Some v
                     | Dl_proto.P_val (Dl_proto.V_sym s) ->
-                      Some (Engine.intern gen s))
+                      let id = Engine.symbol_id gen s in
+                      if Option.is_none id then unseen := true;
+                      id)
                   pats
               in
-              Ok (r, ipats)
+              Ok (r, if !unseen then None else Some ipats)
             | exception _ ->
               Error (Dl_proto.E_relation, "unknown relation " ^ rel)))
         qs
@@ -373,32 +378,35 @@ let[@lint.dispatch
         (function Error (c, m) -> `Reject (c, m) | Ok _ -> `Unrun)
         resolved
     in
+    (* Each worker answers through the relation's index-choosing lookup
+       and renders the whole reply, so the session loop only queues
+       finished bytes. *)
+    let gen_seq = st.s_gen_seq in
     let run_one i =
       match resolved.(i) with
       | Error _ -> ()
       | Ok (r, ipats) -> (
+        let _, rel, _, _ = qs.(i) in
         match
           let reader = Relation.begin_read r in
           Fun.protect
             ~finally:(fun () -> Relation.Reader.finish reader)
             (fun () ->
-              let rows = ref [] in
+              let rows = Buffer.create 256 in
               let n = ref 0 in
-              Relation.Reader.scan reader (-1) [||] (fun tup ->
-                  let ok = ref true in
-                  Array.iteri
-                    (fun j p ->
-                      match p with
-                      | Some v when tup.(j) <> v -> ok := false
-                      | _ -> ())
-                    ipats;
-                  if !ok then begin
-                    rows := row_to_string tup :: !rows;
-                    incr n
-                  end);
-              (List.rev !rows, !n))
+              Option.iter
+                (fun pat ->
+                  Relation.Reader.query reader pat (fun tup ->
+                      incr n;
+                      Dl_proto.render_row rows tup))
+                ipats;
+              let out = Buffer.create (Buffer.length rows + 64) in
+              Dl_proto.render_data out
+                (Printf.sprintf "%s rows=%d gen=%d" rel !n gen_seq)
+                !n rows;
+              Buffer.contents out)
         with
-        | rows, n -> slots.(i) <- `Rows (rows, n)
+        | reply -> slots.(i) <- `Reply reply
         | exception Storage.Index.Phase_violation m -> slots.(i) <- `Violation m
         | exception e -> slots.(i) <- `Failed (Printexc.to_string e))
     in
@@ -416,14 +424,10 @@ let[@lint.dispatch
     let now = Telemetry.now_ns () in
     Array.iteri
       (fun i slot ->
-        let c, rel, _, t0 = qs.(i) in
+        let c, _, _, t0 = qs.(i) in
         Telemetry.hist_record Telemetry.Hist.Server_query_ns (now - t0);
         match slot with
-        | `Rows (rows, n) ->
-          respond st c
-            (Dl_proto.R_data
-               ( Printf.sprintf "%s rows=%d gen=%d" rel n st.s_gen_seq,
-                 rows ))
+        | `Reply bytes -> send st c bytes
         | `Reject (code, msg) -> respond st c (Dl_proto.R_err (code, msg))
         | `Violation m ->
           st.s_phase_violations <- st.s_phase_violations + 1;

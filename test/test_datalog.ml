@@ -494,14 +494,15 @@ let prop_index_selection_sound_and_optimal =
       && Array.length orders = Index_selection.chains_lower_bound sigs)
 
 let test_relation_shares_indexes () =
-  (* btree relation with chained signatures uses one physical index;
-     hash relation keeps one per signature *)
+  (* btree relation with chained signatures needs one order, and this
+     chain's order is the primary's own, so the primary serves it and no
+     secondary index is built; hash relation keeps one per signature *)
   let mk kind =
     Relation.create ~name:"r" ~arity:3 ~kind
       ~sigs:[ [| 0 |]; [| 0; 1 |]; [| 0; 1; 2 |] ]
       ~stats:None ()
   in
-  check_int "btree shares" 1 (Relation.index_count (mk Storage.Btree));
+  check_int "btree shares the primary" 0 (Relation.index_count (mk Storage.Btree));
   check_int "hash does not" 3 (Relation.index_count (mk Storage.Hashset));
   (* shared index still answers each signature correctly *)
   let r = mk Storage.Btree in
@@ -1273,6 +1274,116 @@ let prop_all_kinds_agree =
         (fun kind -> compare_engine_vs_naive ~kind prog)
         Storage.all_kinds)
 
+(* ---------------- indexed queries ---------------- *)
+
+(* Reader.query picks an index itself; whatever it picks must return
+   exactly what a full scan filtered by the pattern returns, on every
+   storage kind: random relations (arity 1-3, random signature sets) and
+   random patterns (none bound, prefixes, non-prefixes, all bound, values
+   absent from the relation). *)
+let prop_query_equals_scan_filter =
+  QCheck.Test.make ~count:200 ~name:"Reader.query = full scan + filter"
+    QCheck.int (fun seed ->
+      let r = rng seed in
+      let arity = 1 + r 3 in
+      let sigs =
+        List.filter_map
+          (fun mask ->
+            if r 2 = 0 then None
+            else
+              Some
+                (Array.of_list
+                   (List.filter (fun c -> mask land (1 lsl c) <> 0)
+                      (List.init arity Fun.id))))
+          (List.init ((1 lsl arity) - 1) (fun m -> m + 1))
+      in
+      let tuples =
+        List.init (r 60) (fun _ -> Array.init arity (fun _ -> r 5))
+      in
+      let patterns =
+        Array.make arity None
+        :: Array.init arity (fun _ -> Some (r 5))
+        :: List.init 25 (fun _ ->
+               Array.init arity (fun _ ->
+                   match r 3 with
+                   | 0 -> None
+                   | 1 -> Some (r 5)
+                   | _ -> Some (5 + r 3) (* absent *)))
+      in
+      let matches pat tup =
+        Array.for_all2
+          (fun p v -> match p with Some x -> x = v | None -> true)
+          pat tup
+      in
+      List.for_all
+        (fun kind ->
+          let rel =
+            Relation.create ~check_phases:true ~name:"q" ~arity ~kind ~sigs
+              ~stats:None ()
+          in
+          List.iter (fun t -> ignore (Relation.insert rel t : bool)) tuples;
+          let rd = Relation.begin_read rel in
+          let collect run =
+            let acc = ref [] in
+            run (fun tup -> acc := Array.copy tup :: !acc);
+            List.sort compare !acc
+          in
+          let ok =
+            List.for_all
+              (fun pat ->
+                collect (Relation.Reader.query rd pat)
+                = collect (fun f ->
+                      Relation.Reader.scan rd (-1) [||] (fun tup ->
+                          if matches pat tup then f tup)))
+              patterns
+          in
+          Relation.Reader.finish rd;
+          ok)
+        Storage.all_kinds)
+
+(* Reader handles are per query on the server, so they must not leave
+   anything behind in their relation: hint sessions are created only for
+   the indexes a handle touches and folded into per-index totals when it
+   finishes.  Folding keeps every hint statistic. *)
+let test_reader_handles_bounded () =
+  let rel =
+    Relation.create ~name:"h" ~arity:2 ~kind:Storage.Btree ~sigs:[ [| 1 |] ]
+      ~stats:None ()
+  in
+  for i = 0 to 999 do
+    ignore (Relation.insert rel [| i mod 50; i |] : bool)
+  done;
+  let cycle i =
+    let rd = Relation.begin_read rel in
+    let pat = if i land 1 = 0 then [| Some (i mod 50); None |] else [| None; Some (i mod 1000) |] in
+    Relation.Reader.query rd pat ignore;
+    ignore (Relation.Reader.mem rd [| i mod 50; i mod 1000 |] : bool);
+    Relation.Reader.finish rd
+  in
+  for i = 1 to 1_000 do cycle i done;
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let cycles = 100_000 in
+  let before = live () in
+  for i = 1 to cycles do cycle i done;
+  let grown = live () - before in
+  if grown >= cycles then
+    Alcotest.failf "live words grew by %d over %d reader cycles" grown cycles;
+  (* a live handle's hints count, and finishing it keeps them *)
+  let rd = Relation.begin_read rel in
+  for i = 0 to 99 do
+    ignore (Relation.Reader.mem rd [| i mod 50; i |] : bool)
+  done;
+  let counters = Relation.hint_counters rel and runs = Relation.hint_runs rel in
+  Relation.Reader.finish rd;
+  check_bool "hint counters kept" true (counters = Relation.hint_counters rel);
+  check_bool "hint runs kept" true (runs = Relation.hint_runs rel);
+  match counters with
+  | Some (h, m) -> check_bool "every hinted op counted" true (h + m >= (2 * cycles) + 100)
+  | None -> Alcotest.fail "hinted B-tree reports no hint counters"
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -1316,7 +1427,9 @@ let () =
           tc "antichain" `Quick test_index_selection_antichain;
           tc "diamond" `Quick test_index_selection_diamond;
           tc "relation sharing" `Quick test_relation_shares_indexes;
+          tc "reader handles bounded" `Quick test_reader_handles_bounded;
         ] );
+      qsuite "indexed query" [ prop_query_equals_scan_filter ];
       qsuite "index selection properties"
         [ prop_index_selection_sound_and_optimal ];
       qsuite "parser fuzz" [ prop_parser_roundtrip; prop_parser_no_crash ];

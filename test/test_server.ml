@@ -174,13 +174,14 @@ let fresh_addr =
     | Ok a -> a
     | Error m -> Alcotest.failf "bad addr: %s" m
 
-let with_server ?(workers = 2) ?(flip_pending = 32) ?(flip_interval_ms = 5) ()
-    k =
+let with_server ?(kind = Storage.Btree) ?(workers = 2) ?(flip_pending = 32)
+    ?(flip_interval_ms = 5) () k =
   let addr = fresh_addr () in
   let cfg =
     {
       (Dl_server.default_config addr) with
-      Dl_server.workers;
+      Dl_server.kind;
+      workers;
       flip_pending;
       flip_interval_ms;
       check_phases = true;
@@ -640,6 +641,125 @@ let test_surfaces_agree () =
   checki "no gauges once every server stopped" 0
     (List.length (dl_server_gauges (Telemetry.snapshot ()).Telemetry.gauges))
 
+(* Indexed QUERY against the reference evaluator: every shipped program,
+   random input facts, random patterns (wildcards, bound prefixes and
+   suffixes, fully bound, values and symbols no fact holds).  Each reply
+   must equal the [Naive] fixed point filtered by the pattern, on the
+   paper's tree and on the hash set, with zero phase violations. *)
+let programs_dir =
+  List.find_opt
+    (fun d -> Sys.file_exists (Filename.concat d "distances.dl"))
+    [ "examples/programs"; "../examples/programs"; "../../examples/programs";
+      "../../../examples/programs" ]
+
+let test_indexed_query_vs_naive () =
+  let dir =
+    match programs_dir with
+    | Some d -> d
+    | None -> Alcotest.fail "examples/programs not found from the test sandbox"
+  in
+  let files =
+    List.sort compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".dl")
+         (Array.to_list (Sys.readdir dir)))
+  in
+  let seed = ref 0x5eed in
+  let r bound =
+    seed := Key.mix64 (!seed + 0x2545F4914F6CDD1D);
+    !seed mod bound
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun file ->
+          let text =
+            In_channel.with_open_bin (Filename.concat dir file)
+              In_channel.input_all
+          in
+          let prog = Parser.parse_string text in
+          let facts =
+            List.concat_map
+              (fun (d : Ast.decl) ->
+                if not d.is_input then []
+                else
+                  List.init 30 (fun _ ->
+                      (d.name, Array.init d.arity (fun _ -> r 8))))
+              prog.decls
+          in
+          let expected = Naive.run prog ~extra_facts:facts in
+          let label what =
+            Printf.sprintf "%s %s: %s" (Storage.kind_name kind) file what
+          in
+          with_server ~kind () @@ fun addr ->
+          with_client addr @@ fun c ->
+          (match Dl_client.rules c text with
+          | Ok (Dl_client.Ok_ _) -> ()
+          | _ -> Alcotest.failf "%s" (label "RULES failed"));
+          List.iter
+            (fun (d : Ast.decl) ->
+              let rows =
+                List.filter_map
+                  (fun (rel, tup) ->
+                    if rel <> d.name then None
+                    else
+                      Some
+                        (String.concat " "
+                           (Array.to_list (Array.map string_of_int tup))))
+                  facts
+              in
+              if rows <> [] then
+                match Dl_client.load c d.name rows with
+                | Ok (Dl_client.Ok_ _) -> ()
+                | _ -> Alcotest.failf "%s" (label ("LOAD " ^ d.name)))
+            prog.decls;
+          List.iter
+            (fun (d : Ast.decl) ->
+              let all =
+                Option.value ~default:[] (Hashtbl.find_opt expected d.name)
+              in
+              let patterns =
+                List.init d.arity (fun _ -> "_")
+                :: List.init 12 (fun _ ->
+                       List.init d.arity (fun _ ->
+                           match r 4 with
+                           | 0 | 1 -> "_"
+                           | 2 -> string_of_int (r 8)
+                           | _ -> if r 2 = 0 then "99" else "nosuch"))
+              in
+              List.iter
+                (fun pat ->
+                  let want =
+                    List.sort compare
+                      (List.filter_map
+                         (fun tup ->
+                           if
+                             List.for_all2
+                               (fun p v -> p = "_" || p = string_of_int v)
+                               pat (Array.to_list tup)
+                           then
+                             Some
+                               (String.concat "\t"
+                                  (Array.to_list (Array.map string_of_int tup)))
+                           else None)
+                         all)
+                  in
+                  match Dl_client.query c d.name pat with
+                  | Ok (Dl_client.Data (_, rows)) ->
+                    check
+                      Alcotest.(list string)
+                      (label ("QUERY " ^ d.name ^ " " ^ String.concat " " pat))
+                      want (List.sort compare rows)
+                  | _ -> Alcotest.failf "%s" (label ("QUERY " ^ d.name)))
+                patterns)
+            prog.decls;
+          match stats_field c "phase_violations" with
+          | Some "0" -> ()
+          | v ->
+            Alcotest.failf "%s" (label ("phase_violations=" ^ Option.value ~default:"?" v)))
+        files)
+    [ Storage.Btree; Storage.Hashset ]
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "server"
@@ -663,6 +783,7 @@ let () =
             test_load_reserves_pending;
           tc "batch payload byte cap" `Quick test_batch_bytes_cap;
           tc "concurrent clients exact audit" `Quick test_concurrent_clients;
+          tc "indexed QUERY = naive + filter" `Quick test_indexed_query_vs_naive;
           tc "shutdown drains" `Quick test_shutdown;
           tc "STATS = dl_server gauges on every surface" `Quick
             test_surfaces_agree;

@@ -196,8 +196,10 @@ echo "== query-server selftest (datalog_serve + datalog_cli --connect) =="
 # one-shot CLI in --connect mode (install program, batch-load facts, query
 # every output relation), scrape /metrics while the server is resident,
 # then compare the served results against a purely local evaluation of the
-# same program — byte-identical output or nonzero exit.  Finish with a
-# protocol SHUTDOWN and assert a clean exit and unlinked sockets.
+# same program — byte-identical output or nonzero exit — and send bound-
+# pattern QUERYs, each compared with the local result filtered the same
+# way.  Finish with a protocol SHUTDOWN and assert a clean exit and
+# unlinked sockets.
 SRV_SOCK="$(mktemp -u /tmp/repro_dlserve_XXXXXX.sock)"
 SRV_MSOCK="$(mktemp -u /tmp/repro_dlserve_metrics_XXXXXX.sock)"
 SRV_TMP="$(mktemp -d /tmp/repro_dlserve_XXXXXX)"
@@ -283,6 +285,57 @@ for f in "$SRV_TMP/local"/*.csv; do
   fi
 done
 echo "ci: served results match local evaluation"
+# bound patterns: the server answers them through its index-choosing
+# lookup, so each reply must equal the local CSV filtered the same way —
+# a leading column bound, a trailing one, all bound, a value no fact
+# holds, and a symbol the server never saw (python3 optional)
+if command -v python3 >/dev/null 2>&1; then
+  if ! SOCK="$SRV_SOCK" LOCAL="$SRV_TMP/local" FACTS="$SRV_TMP/facts" python3 <<'PY'
+import os, socket
+
+def rows_of(path):
+    with open(path) as f:
+        return [tuple(l.split("\t")) for l in f.read().splitlines() if l]
+
+expected = {"dist": rows_of(os.path.join(os.environ["LOCAL"], "dist.csv")),
+            "edge": sorted(set(rows_of(os.path.join(os.environ["FACTS"], "edge.facts"))))}
+patterns = [("dist", "0 _ _"), ("dist", "_ _ 3"), ("dist", "0 5 1"),
+            ("dist", "3 9 1"), ("dist", "99 _ _"), ("dist", "nosuch _ _"),
+            ("dist", "_ 9 _"), ("edge", "_ 9"), ("edge", "0 5")]
+
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.settimeout(10.0)
+s.connect(os.environ["SOCK"])
+f = s.makefile("r")
+f.readline()  # greeting
+failed = 0
+for rel, pat in patterns:
+    s.sendall(f"QUERY {rel} {pat}\n".encode())
+    head = f.readline().split()
+    if head[:1] != ["DATA"]:
+        raise SystemExit(f"ci: QUERY {rel} {pat}: reply {' '.join(head)!r}")
+    got = sorted(tuple(f.readline().rstrip("\n").split("\t")) for _ in range(int(head[1])))
+    if f.readline() != "END\n":
+        raise SystemExit(f"ci: QUERY {rel} {pat}: DATA not closed by END")
+    fields = pat.split()
+    want = sorted(r for r in expected[rel]
+                  if all(p == "_" or p == v for p, v in zip(fields, r)))
+    if got != want:
+        print(f"ci: QUERY {rel} {pat}: served {len(got)} rows, local {len(want)}")
+        failed += 1
+s.close()
+if failed:
+    raise SystemExit(1)
+print(f"ci: {len(patterns)} bound-pattern queries match local evaluation")
+PY
+  then
+    echo "ci: bound-pattern queries differ from local evaluation" >&2
+    kill "$SRV_PID" 2>/dev/null || true
+    exit 1
+  fi
+else
+  echo "ci: python3 not available; skipping bound-pattern queries"
+fi
 dune exec bin/datalog_cli.exe -- --connect "unix:$SRV_SOCK" --shutdown
 if ! wait "$SRV_PID"; then
   echo "ci: datalog_serve exited nonzero after SHUTDOWN" >&2
